@@ -31,7 +31,14 @@ def _dump(obj) -> str:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GameError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,7 +119,6 @@ def _cmd_enumerate(args) -> int:
         rows=args.rows,
         require=_roles_from(args.require),
         forbid=_roles_from(args.forbid),
-        count_only=args.count_only,
     )
     if args.count_only:
         print(count_games(spec, jobs=args.jobs))
@@ -144,7 +150,6 @@ def _cmd_count(args) -> int:
         rows=args.rows,
         require=_roles_from(args.require),
         forbid=_roles_from(args.forbid),
-        count_only=True,
     )
     value = count_games(spec, jobs=args.jobs)
     if args.format == "csv":
@@ -176,9 +181,7 @@ def _verify_formulas(max_n: int, jobs: int, emit) -> bool:
             if t > n:
                 continue
             expected = formulas.evaluate(fam, n)
-            actual = count_games(
-                EnumSpec(n=n, t=t, require=frozenset(require), count_only=True), jobs=jobs
-            )
+            actual = count_games(EnumSpec(n=n, t=t, require=frozenset(require)), jobs=jobs)
             match = expected == actual
             ok &= match
             emit(f"{fam.value},{n},{expected},{actual},{str(match).lower()}")
@@ -250,7 +253,7 @@ def _verify_oracle(max_n: int, jobs: int, emit) -> bool:
     for n in range(1, min(max_n, ORACLE_MAX_PLAYERS) + 1):
         for t in range(1, n + 1):
             expected = oracle_count(n, t)
-            actual = count_games(EnumSpec(n=n, t=t, count_only=True), jobs=jobs)
+            actual = count_games(EnumSpec(n=n, t=t), jobs=jobs)
             match = expected == actual
             ok &= match
             emit(f"{n},{t},{expected},{actual},{str(match).lower()}")
@@ -261,7 +264,7 @@ def _verify_rows(max_n: int, jobs: int, emit) -> bool:
     ok = True
     for n in range(1, max_n + 1):
         total = sum(
-            count_games(EnumSpec(n=n, t=t, rows=1, count_only=True), jobs=jobs)
+            count_games(EnumSpec(n=n, t=t, rows=1), jobs=jobs)
             for t in range(1, n + 1)
         )
         expected = 2**n - 1
@@ -276,14 +279,14 @@ def _verify_sequences(max_n: int, jobs: int, emit) -> bool:
     for n in range(4, max_n + 1):
         if n not in refcounts.CG_T3:
             break
-        actual = count_games(EnumSpec(n=n, t=3, count_only=True), jobs=jobs)
+        actual = count_games(EnumSpec(n=n, t=3), jobs=jobs)
         match = actual == refcounts.CG_T3[n]
         ok &= match
         emit(f"{n},3,{refcounts.CG_T3[n]},{actual},{str(match).lower()}")
     for (n, t), expected in sorted(refcounts.CG_LARGE.items()):
         if n > max_n or t > 4:
             continue
-        actual = count_games(EnumSpec(n=n, t=t, count_only=True), jobs=jobs)
+        actual = count_games(EnumSpec(n=n, t=t), jobs=jobs)
         match = actual == expected
         ok &= match
         emit(f"{n},{t},{expected},{actual},{str(match).lower()}")

@@ -54,6 +54,20 @@ def _as_mask(coalition, n: int) -> int:
     return coalition_mask(coalition, n)
 
 
+def _json_ints(value, what: str, depth: int = 1):
+    """A JSON integer (depth 0) or nested arrays of them, as tuples.
+
+    Bools, floats and strings are rejected rather than coerced by int().
+    """
+    if depth == 0:
+        if type(value) is not int:
+            raise ValidationError(f"{what}: expected an integer, got {value!r}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what}: expected an array, got {value!r}")
+    return tuple(_json_ints(v, what, depth - 1) for v in value)
+
+
 @dataclass(frozen=True)
 class SimpleGame:
     """A monotone voting game, stored by its antichain of minimal winning coalitions."""
@@ -91,11 +105,12 @@ class SimpleGame:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimpleGame":
         try:
-            n = int(data["n"])
+            n = data["n"]
             raw = data["min_winning"]
         except (KeyError, TypeError) as exc:
             raise ValidationError("game JSON needs 'n' and 'min_winning'") from exc
-        return cls.from_coalitions(n, raw)
+        n = _json_ints(n, "'n'", depth=0)
+        return cls.from_coalitions(n, _json_ints(raw, "'min_winning'", depth=2))
 
 
 def normalize_min_winning(n: int, raw: Iterable[Iterable[int]]) -> SimpleGame:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .core import SimpleGame, type_partition, _winning_table
+from .core import SimpleGame, type_partition, _json_ints, _winning_table
 from .errors import CapacityError, ValidationError
 from .profiles import Profile, prefix_sums
 
@@ -99,16 +99,12 @@ class Invariants:
             matrix = data["M"]
         except (KeyError, TypeError) as exc:
             raise ValidationError("invariant JSON needs 'n_bar' and 'M'") from exc
-        return cls(tuple(n_bar), tuple(tuple(r) for r in matrix))
+        return cls(_json_ints(n_bar, "'n_bar'"), _json_ints(matrix, "'M'", depth=2))
 
 
 def validate(n_bar, matrix) -> Invariants:
     """Typed invariants if every condition holds, otherwise ValidationError."""
     return Invariants(tuple(n_bar), tuple(tuple(r) for r in matrix))
-
-
-def _row_prefixes(matrix) -> list[tuple[int, ...]]:
-    return [prefix_sums(row) for row in matrix]
 
 
 def wins_counts(n_bar, matrix, counts) -> bool:

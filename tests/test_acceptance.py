@@ -74,7 +74,7 @@ def test_criterion_03_stretch():
 
 def test_criterion_04_sharded_count_10_4():
     start = time.monotonic()
-    ok = count_games(EnumSpec(n=10, t=4, count_only=True), jobs=4) == CG_LARGE[(10, 4)]
+    ok = count_games(EnumSpec(n=10, t=4), jobs=4) == CG_LARGE[(10, 4)]
     elapsed = time.monotonic() - start
     _report(4, "CG(10,4) by sharded counting (4 workers)", ok and elapsed < 600.0, elapsed)
 
@@ -82,7 +82,7 @@ def test_criterion_04_sharded_count_10_4():
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_criterion_04_stretch():
     start = time.monotonic()
-    ok = count_games(EnumSpec(n=11, t=4, count_only=True), jobs=4) == CG_LARGE[(11, 4)]
+    ok = count_games(EnumSpec(n=11, t=4), jobs=4) == CG_LARGE[(11, 4)]
     elapsed = time.monotonic() - start
     _report(4, "stretch CG(11,4)", ok, elapsed)
 

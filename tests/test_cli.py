@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from csgames.cli import main
 
 EX2_INV = '{"n_bar":[2,3],"M":[[2,0],[0,3]]}'
@@ -29,6 +31,38 @@ def test_validate_reports_violations(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error:")
     assert "condition3" in err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+NON_INTEGER_JSON = {
+    "n-string": ("classify", '{"n":"x","min_winning":[[1,2]]}'),
+    "n_bar-string": ("validate", '{"n_bar":[2,"x"],"M":[[2,0]]}'),
+    "matrix-float": ("validate", '{"n_bar":[2,3],"M":[[2,0.5],[0,3]]}'),
+    "n_bar-float": ("validate", '{"n_bar":[2,3.7],"M":[[2,0],[0,3]]}'),
+    "player-float": ("classify", '{"n":3,"min_winning":[[1.9,2],[1,3]]}'),
+    "matrix-numeric-string": ("validate", '{"n_bar":[2,3],"M":[[2,"0"],[0,3]]}'),
+    "n_bar-bool": ("validate", '{"n_bar":[true,3],"M":[[1,0],[0,3]]}'),
+    "n_bar-not-array": ("validate", '{"n_bar":5,"M":[[2,0]]}'),
+}
+
+
+@pytest.mark.parametrize("command,text", NON_INTEGER_JSON.values(), ids=NON_INTEGER_JSON.keys())
+def test_non_integer_json_entries_rejected(capsys, monkeypatch, command, text):
+    assert_one_error_line(*run(capsys, [command, "-"], text, monkeypatch))
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
+def test_unreadable_input_file(capsys, tmp_path, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert_one_error_line(*run(capsys, ["expand", str(path)]))
 
 
 def test_expand_extract_pipe_closure(capsys, monkeypatch, tmp_path):

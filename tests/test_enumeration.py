@@ -1,11 +1,14 @@
 import pytest
 
+from csgames import enumeration
 from csgames.enumeration import (
     EnumSpec,
+    catalog_with_roles,
     compositions,
     count_by_rows,
     count_games,
     enumerate_invariants,
+    raw_pairs,
 )
 from csgames.errors import ValidationError
 from csgames.formulas import Family, evaluate
@@ -76,6 +79,38 @@ def test_determinism_across_job_counts():
     parallel = list(enumerate_invariants(EnumSpec(n=6, t=3), jobs=2))
     assert sequential == parallel
     assert count_games(EnumSpec(n=7, t=3)) == count_games(EnumSpec(n=7, t=3), jobs=3) == 1114
+    for spec, games in [
+        (EnumSpec(n=7, t=3, rows=1), 56),
+        (EnumSpec(n=6, t=3, require={Role.SEMI_VETOER, Role.VETOER}), 10),
+        (EnumSpec(n=6, t=3, forbid={Role.SEMI_PASSER}), 225),
+        (EnumSpec(n=6, t=2, rows=2, require={Role.PASSER}), 10),
+    ]:
+        sequential = list(enumerate_invariants(spec))
+        assert len(sequential) == games
+        assert list(enumerate_invariants(spec, jobs=2)) == sequential
+        assert count_games(spec) == count_games(spec, jobs=2) == games
+    assert catalog_with_roles(6, 3) == catalog_with_roles(6, 3, jobs=2)
+
+
+@pytest.mark.parametrize(
+    "require,forbid",
+    [({Role.SEMI_VETOER, Role.VETOER}, set()), ({Role.SEMI_VETOER}, {Role.VETOER})],
+    ids=["require-both", "forbid-vetoer"],
+)
+def test_role_filter_tests_vetoer_first(monkeypatch, require, forbid):
+    # the structural vetoer test is cheap, the semi-vetoer test is not
+    matrices = sum(1 for _ in raw_pairs(EnumSpec(n=6, t=3)))
+    first_role = {}
+    real = enumeration.role_present_raw
+
+    def spy(sizes, matrix, role):
+        first_role.setdefault((sizes, matrix), role)
+        return real(sizes, matrix, role)
+
+    monkeypatch.setattr(enumeration, "role_present_raw", spy)
+    count_games(EnumSpec(n=6, t=3, require=require, forbid=forbid))
+    assert len(first_role) == matrices
+    assert set(first_role.values()) == {Role.VETOER}
 
 
 def test_count_matches_formula_t2():
