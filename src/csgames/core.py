@@ -290,9 +290,13 @@ class WeightedRepresentation:
     def from_json_dict(cls, data: dict) -> "WeightedRepresentation":
         try:
             quota = Fraction(str(data["quota"]))
-            weights = tuple(Fraction(str(w)) for w in data["weights"])
+            raw = data["weights"]
+            # a string is iterable too, and would give one weight per character
+            if not isinstance(raw, list):
+                raise TypeError(f"'weights' is not an array: {raw!r}")
+            weights = tuple(Fraction(str(w)) for w in raw)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("weighted JSON needs 'quota' and 'weights' strings") from exc
+            raise ValidationError("weighted JSON needs a 'quota' string and a 'weights' array of strings") from exc
         return cls(quota, weights)
 
 

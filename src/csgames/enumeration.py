@@ -5,7 +5,9 @@ decreasing lexicographic order while keeping the rows pairwise incomparable in
 the delta order, so every valid (n_bar, M) pair is produced exactly once and
 already in canonical form.  Candidate rows, their pairwise comparabilities and
 their separation-condition contributions are precomputed per box as bitmasks,
-which keeps the inner search loop to a few integer operations per node.
+which keeps the inner search loop to a few integer operations per node.  Role
+filters ride in the same accumulator: each row also carries the win bits of
+the role test profiles, and a leaf's bits decide its roles through a memo.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, ValidationError
 from .invariants import Invariants
-from .roles import Role, present_roles_raw, role_present_raw
+from .roles import Role, _class_roles, role_test_profiles
 
 BOX_CAP = 2**30
 
@@ -109,6 +111,87 @@ def _prepare(sizes: tuple[int, ...]) -> _Prep:
     return _Prep(sizes, rows, tuple(incomp), tuple(sat), tuple(suffix), first_count, full)
 
 
+class _Roles(dict):
+    """Present-role sets of one composition, keyed by accumulated search bits.
+
+    A key holds the t - 1 separation bits, then one bit per role test profile
+    (some row lies at or below it in the delta order), then a bit for a
+    nonzero last entry in some row, then the one-row flag.  Each key is
+    decided once, by ``roles._class_roles`` reading its win tests off the bits.
+    """
+
+    def __init__(self, sizes: tuple[int, ...]):
+        super().__init__()
+        self.sizes = sizes
+        n = sum(sizes)
+        profiles = role_test_profiles(sizes)
+        self.profile_bit = {p: len(sizes) - 1 + j for j, p in enumerate(profiles)}
+        # at_least[k][v]: the bits of the profiles whose k-th prefix sum is >= v;
+        # a test profile's prefix sums stay below n + 2
+        self.at_least = [[0] * (n + 2) for _ in sizes]
+        for p, j in self.profile_bit.items():
+            for column, v in zip(self.at_least, itertools.accumulate(p)):
+                column[v] |= 1 << j
+        for column in self.at_least:
+            for v in range(n, -1, -1):
+                column[v] |= column[v + 1]
+        self.nonzero_last = 1 << (len(sizes) - 1 + len(profiles))
+        self.one_row = self.nonzero_last << 1
+
+    def row_bits(self, row: tuple[int, ...]) -> int:
+        """The role bits of one row, placed above its separation bits."""
+        bits = self.at_least[0][0]
+        for column, v in zip(self.at_least, itertools.accumulate(row)):
+            bits &= column[v]
+        return bits | self.nonzero_last if row[-1] else bits
+
+    def __missing__(self, key: int) -> frozenset[Role]:
+        classes = _class_roles(self.sizes, lambda p: key >> self.profile_bit[p] & 1,
+                               bool(key & self.one_row), not key & self.nonzero_last)
+        present = self[key] = frozenset().union(*classes)
+        return present
+
+
+class _Keep(dict):
+    """Whether a key's present roles pass a spec's filters; each key decided once."""
+
+    def __init__(self, sizes: tuple[int, ...], require: frozenset, forbid: frozenset):
+        super().__init__()
+        self.roles = _roles(sizes)
+        self.require = require
+        self.forbid = forbid
+
+    def __missing__(self, key: int) -> bool:
+        present = self.roles[key] if self.require or self.forbid else frozenset()
+        keep = self[key] = self.require <= present and not self.forbid & present
+        return keep
+
+
+_roles = lru_cache(maxsize=1024)(_Roles)
+_keep = lru_cache(maxsize=1024)(_Keep)
+
+
+class _RoleTable(NamedTuple):
+    bits: tuple[int, ...]  # per candidate row: separation bits | role bits
+    one_row: int
+    vetoer_rows: int  # rows whose first entry is n_1
+    null_rows: int  # rows whose last entry is 0
+
+
+@lru_cache(maxsize=1024)
+def _role_table(sizes: tuple[int, ...]) -> _RoleTable:
+    prep = _prepare(sizes)
+    roles = _roles(sizes)
+    vetoer = null = 0
+    for i, row in enumerate(prep.rows):
+        if row[0] == sizes[0]:
+            vetoer |= 1 << i
+        if row[-1] == 0:
+            null |= 1 << i
+    bits = tuple(s | roles.row_bits(row) for s, row in zip(prep.sat, prep.rows))
+    return _RoleTable(bits, roles.one_row, vetoer, null)
+
+
 # Kept beside _matrices_from_start: counting through a generator or a callback
 # version of that search took 1.1-1.9 times as long on CG(10,4) and CG(13,3).
 def _count_from_start(prep: _Prep, start: int, row_limit: int | None) -> int:
@@ -147,9 +230,16 @@ def _count_from_start(prep: _Prep, start: int, row_limit: int | None) -> int:
     return total
 
 
-def _matrices_from_start(prep: _Prep, start: int, row_limit: int | None):
+def _matrices_from_start(prep: _Prep, table: _RoleTable, start: int, row_limit: int | None,
+                         mask: int, keep):
+    """(matrix, key) pairs from one first row, for the keys that ``keep`` accepts.
+
+    A key ORs ``table.bits`` over the matrix's rows, so a node still costs one
+    OR; a lone-row matrix also carries the one-row flag.  Only rows in
+    ``mask`` follow the first.
+    """
     rows = prep.rows
-    sat = prep.sat
+    bits = table.bits
     inc = prep.incomp_after
     suf = prep.suffix_sat
     full = prep.full
@@ -161,11 +251,11 @@ def _matrices_from_start(prep: _Prep, start: int, row_limit: int | None):
             low = a & -a
             k = low.bit_length() - 1
             a ^= low
-            s2 = s | sat[k]
+            s2 = s | bits[k]
             d2 = depth + 1
             chosen.append(k)
-            if s2 == full and (row_limit is None or d2 == row_limit):
-                yield tuple(rows[c] for c in chosen)
+            if s2 & full == full and (row_limit is None or d2 == row_limit) and keep[s2]:
+                yield tuple(rows[c] for c in chosen), s2
             if row_limit is None or d2 < row_limit:
                 child = allowed & inc[k]
                 if child:
@@ -174,11 +264,11 @@ def _matrices_from_start(prep: _Prep, start: int, row_limit: int | None):
                         yield from rec(child, s2, d2)
             chosen.pop()
 
-    s0 = sat[start]
-    if s0 == full and (row_limit is None or row_limit == 1):
-        yield (rows[start],)
+    s0 = bits[start]
+    if s0 & full == full and (row_limit is None or row_limit == 1) and keep[s0 | table.one_row]:
+        yield (rows[start],), s0 | table.one_row
     if row_limit is None or row_limit > 1:
-        child = inc[start]
+        child = inc[start] & mask
         if child:
             lo = (child & -child).bit_length() - 1
             if not (full & ~s0) & ~suf[lo]:
@@ -216,18 +306,36 @@ def _shards(spec: EnumSpec) -> Iterator[tuple[tuple[int, ...], int | None]]:
             yield from ((comp, start) for start in range(_prepare(comp).first_count))
 
 
-def _shard_pairs(spec: EnumSpec, sizes: tuple[int, ...], start: int | None):
-    """(sizes, matrix) pairs of one shard that pass the spec's role filters."""
+def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...], start: int | None):
+    """(matrix, key) pairs of one shard that pass the spec's role filters.
+
+    ``_roles(sizes)[key]`` is the matrix's present-role set.  A required
+    vetoer (every row has r_1 = n_1) or null (every row ends in 0) is a
+    condition on each row, so it masks the rows the search may use.
+    An unfiltered rows=1 shard yields None keys: it skips the role tables,
+    which cost more than its rows (about 2.3 s against 1.3 s for Σₜ CG(12,t,1)
+    on one core).
+    """
+    if start is None and not spec.filtered:
+        yield from ((matrix, None) for matrix in _single_rows(sizes))
+        return
+    keep = _keep(sizes, spec.require, spec.forbid)
     if start is None:
-        matrices = _single_rows(sizes)
-    else:
-        matrices = _matrices_from_start(_prepare(sizes), start, spec.rows)
-    # Role declaration order puts the O(r) structural tests before the semi roles.
-    checks = [(role, role in spec.require) for role in Role
-              if role in spec.require or role in spec.forbid]
-    for matrix in matrices:
-        if all(role_present_raw(sizes, matrix, role) == want for role, want in checks):
-            yield sizes, matrix
+        roles = _roles(sizes)
+        lone = (1 << (len(sizes) - 1)) - 1 | roles.one_row
+        for matrix in _single_rows(sizes):
+            key = lone | roles.row_bits(matrix[0])
+            if keep[key]:
+                yield matrix, key
+        return
+    table = _role_table(sizes)
+    mask = -1
+    if Role.VETOER in spec.require:
+        mask &= table.vetoer_rows
+    if Role.NULL in spec.require:
+        mask &= table.null_rows
+    if mask >> start & 1:
+        yield from _matrices_from_start(_prepare(sizes), table, start, spec.rows, mask, keep)
 
 
 def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
@@ -244,23 +352,26 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
 def _count_shard(spec: EnumSpec, shard) -> int:
     sizes, start = shard
     if start is None or spec.filtered:
-        return sum(1 for _ in _shard_pairs(spec, sizes, start))
+        return sum(1 for _ in _shard_matrices(spec, sizes, start))
     return _count_from_start(_prepare(sizes), start, spec.rows)
 
 
 def _pairs_shard(spec: EnumSpec, shard) -> list:
-    return list(_shard_pairs(spec, *shard))
+    sizes, start = shard
+    return [(sizes, matrix) for matrix, _ in _shard_matrices(spec, sizes, start)]
 
 
 def _catalog_shard(spec: EnumSpec, shard) -> list:
-    return [(sizes, matrix, present_roles_raw(sizes, matrix))
-            for sizes, matrix in _shard_pairs(spec, *shard)]
+    sizes, start = shard
+    roles = _roles(sizes)
+    return [(sizes, matrix, roles[key]) for matrix, key in _shard_matrices(spec, sizes, start)]
 
 
 def raw_pairs(spec: EnumSpec) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """(sizes, matrix) tuples in deterministic order, without building objects."""
     for sizes, start in _shards(spec):
-        yield from _shard_pairs(spec, sizes, start)
+        for matrix, _ in _shard_matrices(spec, sizes, start):
+            yield sizes, matrix
 
 
 def enumerate_invariants(spec: EnumSpec, jobs: int = 1) -> Iterator[Invariants]:

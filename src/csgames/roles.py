@@ -111,54 +111,72 @@ def semantic_roles(game: SimpleGame) -> RoleReport:
     return RoleReport(per_class, tuple(per_player), part.sizes)
 
 
-def _class_roles_raw(n_bar, matrix) -> list[set[Role]]:
+def _shift(base, c, k):
+    """base with k added to entry c."""
+    out = list(base)
+    out[c] += k
+    return tuple(out)
+
+
+def role_test_profiles(n_bar) -> tuple[tuple[int, ...], ...]:
+    """Every profile whose win ``_class_roles`` may test, without repeats.
+
+    These are the O(t²) profiles e_c, n̄−e_c, n̄−e_c−e_d, e_c+e_e and 2e_c.
+    """
+    zero = (0,) * len(n_bar)
+    out = []
+    for c in range(len(n_bar)):
+        e_c = _shift(zero, c, 1)
+        top_c = _shift(n_bar, c, -1)
+        out += [e_c, top_c]
+        out += [_shift(top_c, d, -1) for d, v in enumerate(top_c) if v > 0]
+        out += [_shift(e_c, e, 1) for e in range(len(n_bar))]
+    return tuple(dict.fromkeys(out))
+
+
+def _class_roles(n_bar, wins, one_row: bool, last_zero: bool) -> list[set[Role]]:
+    """Role sets per class from win tests on ``role_test_profiles(n_bar)`` only.
+
+    ``wins(profile)`` says whether the profile delta-dominates (or equals) some
+    matrix row; ``one_row`` whether the matrix has a single row; ``last_zero``
+    whether every row ends in 0.  The reference path passes ``wins_counts`` on
+    a matrix, the enumerator a lookup in bits accumulated during its search.
+    """
     t = len(n_bar)
-    n = sum(n_bar)
-    wins = lambda counts: wins_counts(n_bar, matrix, counts)  # noqa: E731
-
-    def unit(c, k=1):
-        return tuple(k if d == c else 0 for d in range(t))
-
+    zero = (0,) * t
     roles = [set() for _ in range(t)]
-    e1 = unit(0)
-    if (t == 1 and n == 1 and matrix == ((1,),)) or (
-        t >= 2 and n_bar[0] == 1 and matrix == (e1,)
-    ):
+    # a lone row at or below e_1 is e_1 itself, since a matrix's first row starts positive
+    if one_row and n_bar[0] == 1 and wins(_shift(zero, 0, 1)):
         roles[0].add(Role.DICTATOR)
-    last_zero = t >= 2 and all(row[-1] == 0 for row in matrix)
     for c in range(t):
-        e_c = unit(c)
-        top_c = tuple(s - 1 if d == c else s for d, s in enumerate(n_bar))
+        e_c = _shift(zero, c, 1)
+        top_c = _shift(n_bar, c, -1)
         top_wins = wins(top_c)
         if not top_wins:
             roles[c].add(Role.VETOER)
         e_c_wins = wins(e_c)
         if e_c_wins:
             roles[c].add(Role.PASSER)
-        if last_zero and c == t - 1:
+        if last_zero and t >= 2 and c == t - 1:
             roles[c].add(Role.NULL)
-        if top_wins:
-            # unique winning profile below full class c iff every one-lower loses
-            unique = True
-            for d in range(t):
-                if top_c[d] > 0:
-                    lower = tuple(v - 1 if e == d else v for e, v in enumerate(top_c))
-                    if wins(lower):
-                        unique = False
-                        break
-            if unique:
-                roles[c].add(Role.SEMI_VETOER)
-        if not e_c_wins:
-            ok = all(
-                wins(tuple((d == c) + (d == e) for d in range(t)))
-                for e in range(t)
-                if e != c
-            )
-            if ok and n_bar[c] >= 2:
-                ok = wins(unit(c, 2))
-            if ok:
-                roles[c].add(Role.SEMI_PASSER)
+        # unique winning profile below full class c iff every one-lower loses
+        if top_wins and not any(wins(_shift(top_c, d, -1)) for d in range(t) if top_c[d] > 0):
+            roles[c].add(Role.SEMI_VETOER)
+        # 2e_c is a pair from class c only when the class has two members
+        if not e_c_wins and all(
+            wins(_shift(e_c, e, 1)) for e in range(t) if e != c or n_bar[c] >= 2
+        ):
+            roles[c].add(Role.SEMI_PASSER)
     return roles
+
+
+def _class_roles_raw(n_bar, matrix) -> list[set[Role]]:
+    return _class_roles(
+        n_bar,
+        lambda counts: wins_counts(n_bar, matrix, counts),
+        len(matrix) == 1,
+        all(row[-1] == 0 for row in matrix),
+    )
 
 
 def structural_roles(inv: Invariants) -> RoleReport:
@@ -168,7 +186,7 @@ def structural_roles(inv: Invariants) -> RoleReport:
 
 
 def role_present_raw(n_bar, matrix, role: Role) -> bool:
-    """Single-role presence test on raw (n_bar, matrix) tuples; used by filters."""
+    """Single-role presence test on raw (n_bar, matrix) tuples; used by the bijections."""
     t = len(n_bar)
     n = sum(n_bar)
     if role is Role.VETOER:

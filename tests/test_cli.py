@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,7 @@ NON_INTEGER_JSON = {
     "matrix-numeric-string": ("validate", '{"n_bar":[2,3],"M":[[2,"0"],[0,3]]}'),
     "n_bar-bool": ("validate", '{"n_bar":[true,3],"M":[[1,0],[0,3]]}'),
     "n_bar-not-array": ("validate", '{"n_bar":5,"M":[[2,0]]}'),
+    "weights-string": ("classify", '{"quota":"1","weights":"12"}'),
 }
 
 
@@ -129,6 +131,29 @@ def test_enumerate_jsonl(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert json.loads(lines[0]) == {"M": [[2, 0]], "n_bar": [2, 1]}
+
+
+# sha256 of stdout before role filters moved into the search
+FILTERED_STREAMS = {
+    "n7-t3-with-semi-vetoer": (
+        "--n 7 --t 3 --with semi-vetoer", 98,
+        "3d48955c1bbfe9d5626de836c1c29875f797fca0916d1640f9a553202080937c"),
+    "n7-t4-without-vetoer": (
+        "--n 7 --t 4 --without vetoer", 4501,
+        "0ce730aae49ca3a28155118e1ab07a4f851e07616f517040bbc32c6ebb242b1d"),
+    "n8-t4-with-vetoer-null": (
+        "--n 8 --t 4 --with vetoer --with null", 113,
+        "da41ca3a81be9c06d36fc3e967f58ff9e71808d7347ea9064fc714d0b81151c6"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("args,lines,digest", FILTERED_STREAMS.values(), ids=FILTERED_STREAMS.keys())
+def test_filtered_enumerate_bytes(capsys, args, lines, digest, jobs):
+    code, out, _ = run(capsys, ["enumerate", *args.split(), "--jobs", jobs])
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_with_roles_and_count(capsys):

@@ -1,6 +1,9 @@
+import itertools
+import os
+
 import pytest
 
-from csgames import enumeration
+from csgames import enumeration, roles
 from csgames.enumeration import (
     EnumSpec,
     catalog_with_roles,
@@ -13,9 +16,12 @@ from csgames.enumeration import (
 from csgames.errors import ValidationError
 from csgames.formulas import Family, evaluate
 from csgames.oracle import oracle_count
-from csgames.roles import Role
+from csgames.refcounts import CGV_T3, CGVN_T4
+from csgames.roles import Role, present_roles_raw, role_present_raw
 
 from conftest import inv
+
+STRETCH = os.environ.get("CSGAMES_STRETCH") == "1"
 
 
 def test_compositions_examples():
@@ -97,20 +103,65 @@ def test_determinism_across_job_counts():
     [({Role.SEMI_VETOER, Role.VETOER}, set()), ({Role.SEMI_VETOER}, {Role.VETOER})],
     ids=["require-both", "forbid-vetoer"],
 )
-def test_role_filter_tests_vetoer_first(monkeypatch, require, forbid):
-    # the structural vetoer test is cheap, the semi-vetoer test is not
-    matrices = sum(1 for _ in raw_pairs(EnumSpec(n=6, t=3)))
-    first_role = {}
-    real = enumeration.role_present_raw
+def test_role_filters_call_no_role_predicates(monkeypatch, require, forbid):
+    # filters are decided from bits accumulated in the search, not per matrix
+    calls = []
+    for module in (roles, enumeration):
+        for name in ("role_present_raw", "_class_roles_raw"):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    spec = EnumSpec(n=6, t=3, require=require, forbid=forbid)
+    games = count_games(spec)
+    assert games > 0
+    assert sum(1 for _ in raw_pairs(spec)) == games
+    assert len(list(enumerate_invariants(spec))) == games
+    assert calls == []
 
-    def spy(sizes, matrix, role):
-        first_role.setdefault((sizes, matrix), role)
-        return real(sizes, matrix, role)
 
-    monkeypatch.setattr(enumeration, "role_present_raw", spy)
-    count_games(EnumSpec(n=6, t=3, require=require, forbid=forbid))
-    assert len(first_role) == matrices
-    assert set(first_role.values()) == {Role.VETOER}
+FILTERS = (
+    [{"require": {role}} for role in Role]
+    + [{"forbid": {role}} for role in Role]
+    + [{"require": set(pair)} for pair in itertools.combinations(Role, 2)]
+)
+
+
+def test_role_filters_match_per_matrix_predicates():
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            stream = list(raw_pairs(EnumSpec(n=n, t=t)))
+            for kw in FILTERS:
+                for rows in (None, 1):
+                    spec = EnumSpec(n=n, t=t, rows=rows, **kw)
+                    expected = [
+                        (sizes, matrix) for sizes, matrix in stream
+                        if rows in (None, len(matrix))
+                        and all(role_present_raw(sizes, matrix, r) for r in spec.require)
+                        and not any(role_present_raw(sizes, matrix, r) for r in spec.forbid)
+                    ]
+                    assert list(raw_pairs(spec)) == expected, (n, t, kw, rows)
+
+
+def test_catalog_roles_match_reference():
+    for n in range(1, 8):
+        for t in range(1, n + 1):
+            for sizes, matrix, present in catalog_with_roles(n, t):
+                assert present == present_roles_raw(sizes, matrix), (sizes, matrix)
+
+
+def test_filtered_reference_tables():
+    vetoer, vetoer_null = frozenset({Role.VETOER}), frozenset({Role.VETOER, Role.NULL})
+    for n in range(10, 14):
+        assert count_games(EnumSpec(n=n, t=3, require=vetoer)) == CGV_T3[n]
+    for n in (10, 11):
+        assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_filtered_reference_tables_stretch():
+    vetoer_null = frozenset({Role.VETOER, Role.NULL})
+    for n in (12, 13, 14):
+        assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
 
 
 def test_count_matches_formula_t2():
