@@ -10,12 +10,12 @@ import argparse
 import json
 import sys
 
-from . import formulas, refcounts
+from . import formulas
+from .checks import SUITES
 from .core import SimpleGame, WeightedRepresentation, from_weighted
 from .enumeration import EnumSpec, count_games, enumerate_invariants
 from .errors import CapacityError, GameError
 from .invariants import Invariants, expand, extract
-from .oracle import ORACLE_MAX_PLAYERS, oracle_count
 from .roles import Role, semantic_roles, structural_roles
 from .transforms import Bijection, apply_bijection, dual, dual_invariants
 
@@ -60,10 +60,6 @@ def _load_any(data):
 
 def _as_game(obj) -> SimpleGame:
     return expand(obj) if isinstance(obj, Invariants) else obj
-
-
-def _as_invariants(obj) -> Invariants:
-    return obj if isinstance(obj, Invariants) else extract(obj)
 
 
 def _cmd_validate(args) -> int:
@@ -166,148 +162,14 @@ def _cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _verify_formulas(max_n: int, jobs: int, emit) -> bool:
-    ok = True
-    checks = [
-        (formulas.Family.CG_T1, 1, min(max_n, 12), 1, ()),
-        (formulas.Family.CG_T2, 2, min(max_n, 12), 2, ()),
-        (formulas.Family.CGV_T2, 2, min(max_n, 10), 2, (Role.VETOER,)),
-        (formulas.Family.CGV_T3, 4, min(max_n, 9), 3, (Role.VETOER,)),
-        (formulas.Family.CGVN_T3, 4, min(max_n, 9), 3, (Role.VETOER, Role.NULL)),
-        (formulas.Family.CGVN_T4, 5, min(max_n, 9), 4, (Role.VETOER, Role.NULL)),
-    ]
-    for fam, lo, hi, t, require in checks:
-        for n in range(lo, hi + 1):
-            if t > n:
-                continue
-            expected = formulas.evaluate(fam, n)
-            actual = count_games(EnumSpec(n=n, t=t, require=frozenset(require)), jobs=jobs)
-            match = expected == actual
-            ok &= match
-            emit(f"{fam.value},{n},{expected},{actual},{str(match).lower()}")
-    return ok
-
-
-def _verify_bijections(max_n: int, jobs: int, emit) -> bool:
-    from .enumeration import catalog_with_roles
-
-    ok = True
-    plan = {
-        "f": (Bijection.VETO_TO_NULL, {Role.VETOER}, {Role.NULL}, 2),
-        "g": (Bijection.PASSER_TO_NULL, {Role.PASSER}, {Role.NULL}, 2),
-        "h": (Bijection.VETO_TO_SEMI_VETO, {Role.VETOER}, {Role.SEMI_VETOER}, 1),
-        "k": (Bijection.PASSER_TO_SEMI_PASSER, {Role.PASSER}, {Role.SEMI_PASSER}, 1),
-        "h1": (Bijection.DUAL_SWAP, {Role.VETOER, Role.NULL}, {Role.PASSER, Role.NULL}, 2),
-        "h2": (Bijection.SEMI_VETO_TO_NULL, {Role.VETOER, Role.SEMI_VETOER}, {Role.VETOER, Role.NULL}, 2),
-    }
-    for n in range(2, max_n + 1):
-        for t in range(1, min(n, 4) + 1):
-            catalog = catalog_with_roles(n, t, jobs=jobs)
-            classes = {
-                name: {
-                    Invariants(sizes, matrix)
-                    for sizes, matrix, roles in catalog
-                    if frozenset(need) <= roles
-                }
-                for name, (_, need, _, _) in plan.items()
-            }
-            targets = {
-                name: {
-                    Invariants(sizes, matrix)
-                    for sizes, matrix, roles in catalog
-                    if frozenset(want) <= roles
-                }
-                for name, (_, _, want, _) in plan.items()
-            }
-            for name, (bij, _, _, min_t) in plan.items():
-                if t < min_t:
-                    continue
-                domain = classes[name]
-                images = {apply_bijection(bij, inv) for inv in domain}
-                good = len(images) == len(domain) and images == targets[name]
-                ok &= good
-                emit(f"{n},{t},{name},{len(domain)},{len(targets[name])},{str(good).lower()}")
-    return ok
-
-
-def _verify_duality(max_n: int, jobs: int, emit) -> bool:
-    from .enumeration import raw_pairs
-
-    ok = True
-    for n in range(1, min(max_n, 6) + 1):
-        checked = 0
-        good = True
-        for t in range(1, n + 1):
-            for sizes, matrix in raw_pairs(EnumSpec(n=n, t=t)):
-                game = expand(Invariants(sizes, matrix))
-                if dual(dual(game)) != game:
-                    good = False
-                checked += 1
-        ok &= good
-        emit(f"{n},dual_involution,{checked},{str(good).lower()}")
-    return ok
-
-
-def _verify_oracle(max_n: int, jobs: int, emit) -> bool:
-    ok = True
-    for n in range(1, min(max_n, ORACLE_MAX_PLAYERS) + 1):
-        for t in range(1, n + 1):
-            expected = oracle_count(n, t)
-            actual = count_games(EnumSpec(n=n, t=t), jobs=jobs)
-            match = expected == actual
-            ok &= match
-            emit(f"{n},{t},{expected},{actual},{str(match).lower()}")
-    return ok
-
-
-def _verify_rows(max_n: int, jobs: int, emit) -> bool:
-    ok = True
-    for n in range(1, max_n + 1):
-        total = sum(
-            count_games(EnumSpec(n=n, t=t, rows=1), jobs=jobs)
-            for t in range(1, n + 1)
-        )
-        expected = 2**n - 1
-        match = total == expected
-        ok &= match
-        emit(f"{n},rows1_sum,{expected},{total},{str(match).lower()}")
-    return ok
-
-
-def _verify_sequences(max_n: int, jobs: int, emit) -> bool:
-    ok = True
-    for n in range(4, max_n + 1):
-        if n not in refcounts.CG_T3:
-            break
-        actual = count_games(EnumSpec(n=n, t=3), jobs=jobs)
-        match = actual == refcounts.CG_T3[n]
-        ok &= match
-        emit(f"{n},3,{refcounts.CG_T3[n]},{actual},{str(match).lower()}")
-    for (n, t), expected in sorted(refcounts.CG_LARGE.items()):
-        if n > max_n or t > 4:
-            continue
-        actual = count_games(EnumSpec(n=n, t=t), jobs=jobs)
-        match = actual == expected
-        ok &= match
-        emit(f"{n},{t},{expected},{actual},{str(match).lower()}")
-    return ok
-
-
-_SUITES = {
-    "formulas": (_verify_formulas, "family,n,formula,enumerated,match"),
-    "bijections": (_verify_bijections, "n,t,bijection,domain,codomain,match"),
-    "duality": (_verify_duality, "n,check,cases,match"),
-    "oracle": (_verify_oracle, "n,t,oracle,enumerated,match"),
-    "rows": (_verify_rows, "n,check,expected,actual,match"),
-    "sequences": (_verify_sequences, "n,t,expected,actual,match"),
-}
-
-
 def _cmd_verify(args) -> int:
-    runner, header = _SUITES[args.suite]
+    header, suite = SUITES[args.suite]
     print(header)
-    ok = runner(args.max_n, args.jobs, print)
-    return EXIT_OK if ok else EXIT_VERIFY
+    failed = False
+    for *fields, match in suite(args.max_n, args.jobs):
+        print(*fields, "true" if match else "false", sep=",")
+        failed = failed or not match
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("verify", help="run a verification suite, emitting CSV")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)

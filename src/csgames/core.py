@@ -295,7 +295,7 @@ class WeightedRepresentation:
             if not isinstance(raw, list):
                 raise TypeError(f"'weights' is not an array: {raw!r}")
             weights = tuple(Fraction(str(w)) for w in raw)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("weighted JSON needs a 'quota' string and a 'weights' array of strings") from exc
         return cls(quota, weights)
 

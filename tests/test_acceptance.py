@@ -12,13 +12,14 @@ from functools import lru_cache
 
 import pytest
 
+from csgames.checks import (BIJECTION_PLAN, bijection_rows, dual_involution_row, formula_row,
+                            oracle_row, reference_row, rows1_row)
 from csgames.enumeration import EnumSpec, count_games, raw_pairs
 from csgames.formulas import Family, evaluate, golden_ratio_gap
 from csgames.invariants import Invariants, expand, extract
-from csgames.oracle import oracle_count
 from csgames.refcounts import CG_LARGE, CG_T3, CGV_T3, CGVN_T4
 from csgames.roles import Role, present_roles_raw
-from csgames.transforms import Bijection, apply_bijection, dual
+from csgames.transforms import Bijection
 
 STRETCH = os.environ.get("CSGAMES_STRETCH") == "1"
 
@@ -50,16 +51,14 @@ def test_criterion_01_anonymous_counts():
 
 def test_criterion_02_two_type_fibonacci_form():
     start = time.monotonic()
-    ok = all(
-        count_games(EnumSpec(n=n, t=2)) == evaluate(Family.CG_T2, n) for n in range(2, 13)
-    )
+    ok = all(formula_row(Family.CG_T2, n, 2)[-1] for n in range(2, 13))
     elapsed = time.monotonic() - start
     _report(2, "CG(n,2) matches F(n+6) form (n<=12)", ok and elapsed < 5.0, elapsed)
 
 
 def test_criterion_03_three_type_sequence():
     start = time.monotonic()
-    ok = all(count_games(EnumSpec(n=n, t=3)) == CG_T3[n] for n in range(4, 10))
+    ok = all(reference_row(n, 3, CG_T3[n])[-1] for n in range(4, 10))
     elapsed = time.monotonic() - start
     _report(3, "CG(n,3) sequence (n=4..9)", ok and elapsed < 60.0, elapsed)
 
@@ -67,14 +66,14 @@ def test_criterion_03_three_type_sequence():
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_criterion_03_stretch():
     start = time.monotonic()
-    ok = all(count_games(EnumSpec(n=n, t=3), jobs=4) == CG_T3[n] for n in (10, 11))
+    ok = all(reference_row(n, 3, CG_T3[n], jobs=4)[-1] for n in (10, 11))
     elapsed = time.monotonic() - start
     _report(3, "stretch CG(10..11,3)", ok and elapsed < 600.0, elapsed)
 
 
 def test_criterion_04_sharded_count_10_4():
     start = time.monotonic()
-    ok = count_games(EnumSpec(n=10, t=4), jobs=4) == CG_LARGE[(10, 4)]
+    ok = reference_row(10, 4, CG_LARGE[(10, 4)], jobs=4)[-1]
     elapsed = time.monotonic() - start
     _report(4, "CG(10,4) by sharded counting (4 workers)", ok and elapsed < 600.0, elapsed)
 
@@ -82,18 +81,14 @@ def test_criterion_04_sharded_count_10_4():
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_criterion_04_stretch():
     start = time.monotonic()
-    ok = count_games(EnumSpec(n=11, t=4), jobs=4) == CG_LARGE[(11, 4)]
+    ok = reference_row(11, 4, CG_LARGE[(11, 4)], jobs=4)[-1]
     elapsed = time.monotonic() - start
     _report(4, "stretch CG(11,4)", ok, elapsed)
 
 
 def test_criterion_05_veto_two_types():
     start = time.monotonic()
-    veto = frozenset({Role.VETOER})
-    ok = all(
-        count_games(EnumSpec(n=n, t=2, require=veto)) == n * (n - 1) // 2
-        for n in range(2, 11)
-    )
+    ok = all(formula_row(Family.CGV_T2, n, 2, {Role.VETOER})[-1] for n in range(2, 11))
     ok &= all(evaluate(Family.CGV_T2, n) == n * (n - 1) // 2 for n in range(2, 201))
     elapsed = time.monotonic() - start
     _report(5, "CGV(n,2) enumerated (n<=10) and closed form (n<=200)", ok, elapsed)
@@ -101,10 +96,7 @@ def test_criterion_05_veto_two_types():
 
 def test_criterion_06_veto_three_types():
     start = time.monotonic()
-    veto = frozenset({Role.VETOER})
-    ok = all(
-        count_games(EnumSpec(n=n, t=3, require=veto)) == CGV_T3[n] for n in range(4, 10)
-    )
+    ok = all(formula_row(Family.CGV_T3, n, 3, {Role.VETOER})[-1] for n in range(4, 10))
     ok &= all(evaluate(Family.CGV_T3, n) == CGV_T3[n] for n in CGV_T3)
     # closed form evaluates over the full range and obeys the removal recurrence
     for n in range(5, 201):
@@ -117,10 +109,7 @@ def test_criterion_06_veto_three_types():
 
 def test_criterion_07_veto_null_four_types():
     start = time.monotonic()
-    vn = frozenset({Role.VETOER, Role.NULL})
-    ok = all(
-        count_games(EnumSpec(n=n, t=4, require=vn)) == CGVN_T4[n] for n in range(5, 10)
-    )
+    ok = all(formula_row(Family.CGVN_T4, n, 4, {Role.VETOER, Role.NULL})[-1] for n in range(5, 10))
     ok &= all(evaluate(Family.CGVN_T4, n) == CGVN_T4[n] for n in CGVN_T4)
     for n in range(6, 201):
         lhs = evaluate(Family.CGVN_T4, n) - evaluate(Family.CGVN_T4, n - 1)
@@ -130,15 +119,12 @@ def test_criterion_07_veto_null_four_types():
     _report(7, "CGVN(n,4) enumerated (n=5..9) and closed form (n<=200)", ok, elapsed)
 
 
-_BIJECTIONS = [
-    (Bijection.VETO_TO_NULL, {Role.VETOER}, {Role.NULL}, 2),
-    (Bijection.PASSER_TO_NULL, {Role.PASSER}, {Role.NULL}, 2),
-    (Bijection.VETO_TO_SEMI_VETO, {Role.VETOER}, {Role.SEMI_VETOER}, 1),
-    (Bijection.PASSER_TO_SEMI_PASSER, {Role.PASSER}, {Role.SEMI_PASSER}, 1),
-    (Bijection.DUAL_SWAP, {Role.VETOER, Role.NULL}, {Role.PASSER, Role.NULL}, 2),
-    (Bijection.DUAL_SWAP, {Role.VETOER, Role.SEMI_VETOER}, {Role.PASSER, Role.SEMI_PASSER}, 2),
-    (Bijection.SEMI_VETO_TO_NULL, {Role.VETOER, Role.SEMI_VETOER}, {Role.VETOER, Role.NULL}, 2),
-]
+# the verify plan, plus h1 pairing the vetoer+semi-vetoer and passer+semi-passer classes
+_BIJECTIONS = {
+    **BIJECTION_PLAN,
+    "h1-semi": (Bijection.DUAL_SWAP, frozenset({Role.VETOER, Role.SEMI_VETOER}),
+                frozenset({Role.PASSER, Role.SEMI_PASSER}), 2),
+}
 
 
 def test_criterion_08_bijection_exhaustion():
@@ -146,17 +132,12 @@ def test_criterion_08_bijection_exhaustion():
     ok = True
     for n in range(2, 9):
         for t in range(1, min(n, 4) + 1):
-            catalog = catalog8(n, t)
             sizes = {}
-            for bij, need, want, min_t in _BIJECTIONS:
-                if t < min_t:
-                    continue
-                domain = [g for g, roles in catalog if frozenset(need) <= roles]
-                target = {g for g, roles in catalog if frozenset(want) <= roles}
-                images = {apply_bijection(bij, g) for g in domain}
-                ok &= len(images) == len(domain) and images == target
-                sizes[frozenset(need)] = len(domain)
-                sizes[frozenset(want)] = len(target)
+            for _, _, name, domain, target, match in bijection_rows(_BIJECTIONS, catalog8(n, t), n, t):
+                ok &= match
+                _, need, want, _ = _BIJECTIONS[name]
+                sizes[need] = domain
+                sizes[want] = target
             # count corollaries
             v = sizes.get(frozenset({Role.VETOER}))
             if v is not None and n >= 2:
@@ -182,34 +163,28 @@ def test_criterion_08_bijection_exhaustion():
 
 def test_criterion_09_single_row_identity():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 13):
-        total = sum(count_games(EnumSpec(n=n, t=t, rows=1)) for t in range(1, n + 1))
-        ok &= total == 2**n - 1
+    ok = all(rows1_row(n)[-1] for n in range(1, 13))
     elapsed = time.monotonic() - start
     _report(9, "sum_t CG(n,t,r=1) = 2^n - 1 (n<=12)", ok and elapsed < 60.0, elapsed)
 
 
 def test_criterion_10_oracle_equivalence():
     start = time.monotonic()
-    ok = True
-    veto = frozenset({Role.VETOER})
-    vn = frozenset({Role.VETOER, Role.NULL})
-    piecewise = [
-        frozenset({Role.DICTATOR}),
-        frozenset({Role.DICTATOR, Role.NULL}),
-        frozenset({Role.SEMI_VETOER, Role.SEMI_PASSER}),
-        frozenset({Role.VETOER, Role.SEMI_PASSER}),
-        frozenset({Role.PASSER, Role.SEMI_VETOER}),
-    ]
-    for n in range(1, 6):
-        for t in range(1, n + 1):
-            ok &= count_games(EnumSpec(n=n, t=t)) == oracle_count(n, t)
-            ok &= count_games(EnumSpec(n=n, t=t, rows=1)) == oracle_count(n, t, rows=1)
-            for req in [veto, vn, *piecewise]:
-                ok &= count_games(EnumSpec(n=n, t=t, require=req)) == oracle_count(
-                    n, t, require=req
-                )
+    filters = [{}, {"rows": 1}] + [{"require": req} for req in [
+        {Role.VETOER},
+        {Role.VETOER, Role.NULL},
+        {Role.DICTATOR},
+        {Role.DICTATOR, Role.NULL},
+        {Role.SEMI_VETOER, Role.SEMI_PASSER},
+        {Role.VETOER, Role.SEMI_PASSER},
+        {Role.PASSER, Role.SEMI_VETOER},
+    ]]
+    ok = all(
+        oracle_row(EnumSpec(n=n, t=t, **kw))[-1]
+        for n in range(1, 6)
+        for t in range(1, n + 1)
+        for kw in filters
+    )
     elapsed = time.monotonic() - start
     _report(10, "extensional oracle reproduces every filtered count (n<=5)",
             ok and elapsed < 120.0, elapsed)
@@ -261,10 +236,6 @@ def test_criterion_13_round_trips():
         for t in range(1, min(n, 4) + 1):
             for g, _roles in catalog8(n, t):
                 ok &= extract(expand(g)) == g
-    for n in range(1, 7):
-        for t in range(1, n + 1):
-            for sizes, matrix in raw_pairs(EnumSpec(n=n, t=t)):
-                game = expand(Invariants(sizes, matrix))
-                ok &= dual(dual(game)) == game
+    ok &= all(dual_involution_row(n)[-1] for n in range(1, 7))
     elapsed = time.monotonic() - start
     _report(13, "extract(expand(I))=I (n<=8,t<=4); dual involution (n<=6)", ok, elapsed)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from csgames import refcounts
 from csgames.cli import main
 
 EX2_INV = '{"n_bar":[2,3],"M":[[2,0],[0,3]]}'
@@ -51,6 +52,8 @@ NON_INTEGER_JSON = {
     "n_bar-bool": ("validate", '{"n_bar":[true,3],"M":[[1,0],[0,3]]}'),
     "n_bar-not-array": ("validate", '{"n_bar":5,"M":[[2,0]]}'),
     "weights-string": ("classify", '{"quota":"1","weights":"12"}'),
+    "quota-zero-denominator": ("classify", '{"quota":"1/0","weights":["1"]}'),
+    "weight-zero-denominator": ("classify", '{"quota":"1","weights":["1/0"]}'),
 }
 
 
@@ -210,39 +213,29 @@ def test_capacity_abort(capsys):
     assert err.startswith("error:")
 
 
-def test_verify_rows_suite(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "rows", "--max-n", "8"])
+# sha256 of `csgames verify` stdout, pinned before the checks moved out of the CLI
+VERIFY_SUITES = {
+    "rows": ("8", "fd9dc6a6e3c51f06d53ee3cd17caae47b21947ba9fb147d3b67bb7344e89adf6"),
+    "oracle": ("4", "e4deba52f3058d7859280fc153f769b8082591183b50222a8d1eba40761752e2"),
+    "formulas": ("6", "e364a9ae344c6f7c82b1222aa18daacf2f9c3cb5212daf34b8f1607d7ca5bd1d"),
+    "duality": ("4", "00dab7c6c9ae6aed3ac8b4b72b0786ec5de0d3e36e89d8eebab9a8b90e3f83d6"),
+    "sequences": ("6", "e4baed36a398a494142a92307c6a123c528cddbfae9ea4ae3ca9aa2af2e28e0e"),
+    "bijections": ("4", "0c36151766b69260fdea73516d344030bfa8085f581ea9881a99e54ff79b25e3"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_suite_bytes(capsys, suite, jobs):
+    max_n, digest = VERIFY_SUITES[suite]
+    code, out, _ = run(capsys, ["verify", "--suite", suite, "--max-n", max_n, "--jobs", jobs])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,check,expected,actual,match"
-    assert all(line.endswith("true") for line in lines[1:])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_oracle_suite(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "oracle", "--max-n", "4"])
-    assert code == 0
-
-
-def test_verify_formulas_suite(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "formulas", "--max-n", "6"])
-    assert code == 0
-    assert "cg_t2,6," in out
-
-
-def test_verify_duality_suite(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "duality", "--max-n", "4"])
-    assert code == 0
-
-
-def test_verify_sequences_suite(capsys):
+def test_verify_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setitem(refcounts.CG_T3, 5, 51)
     code, out, _ = run(capsys, ["verify", "--suite", "sequences", "--max-n", "6"])
-    assert code == 0
-    assert "4,3,6,6,true" in out
-
-
-def test_verify_bijections_suite(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "bijections", "--max-n", "4"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,t,bijection,domain,codomain,match"
-    assert all(line.endswith("true") for line in lines[1:])
+    assert code == 4
+    lines = out.splitlines()
+    assert {"4,3,6,6,true", "5,3,51,50,false", "6,3,262,262,true"} <= set(lines)

@@ -1,5 +1,6 @@
 import pytest
 
+from csgames.checks import BIJECTION_PLAN
 from csgames.core import SimpleGame
 from csgames.errors import DomainError
 from csgames.invariants import expand, extract
@@ -114,17 +115,7 @@ def role_catalog(small_catalog):
     return out
 
 
-BIJECTION_PLAN = [
-    (Bijection.VETO_TO_NULL, {Role.VETOER}, {Role.NULL}, 2),
-    (Bijection.PASSER_TO_NULL, {Role.PASSER}, {Role.NULL}, 2),
-    (Bijection.VETO_TO_SEMI_VETO, {Role.VETOER}, {Role.SEMI_VETOER}, 1),
-    (Bijection.PASSER_TO_SEMI_PASSER, {Role.PASSER}, {Role.SEMI_PASSER}, 1),
-    (Bijection.DUAL_SWAP, {Role.VETOER, Role.NULL}, {Role.PASSER, Role.NULL}, 2),
-    (Bijection.SEMI_VETO_TO_NULL, {Role.VETOER, Role.SEMI_VETOER}, {Role.VETOER, Role.NULL}, 2),
-]
-
-
-@pytest.mark.parametrize("bijection,need,want,min_t", BIJECTION_PLAN)
+@pytest.mark.parametrize("bijection,need,want,min_t", BIJECTION_PLAN.values())
 def test_bijective_by_exhaustion_small(role_catalog, bijection, need, want, min_t):
     for (n, t), catalog in role_catalog.items():
         if t < min_t or t > 4 or n < 2:
