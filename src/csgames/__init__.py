@@ -34,7 +34,7 @@ from .invariants import (
 )
 from .oracle import oracle_count
 from .profiles import DeltaRelation, Profile, ProfileBox, box_profiles, delta_compare, profile_of
-from .roles import Role, RoleReport, audit_role_pairs, semantic_roles, structural_roles
+from .roles import Role, RoleReport, semantic_roles, structural_roles
 from .transforms import Bijection, apply_bijection, dual, dual_invariants
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "ValidationError",
     "WeightedRepresentation",
     "apply_bijection",
-    "audit_role_pairs",
     "box_profiles",
     "check_conditions",
     "coalition_mask",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or domain error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -164,9 +165,15 @@ def _cmd_formula(args) -> int:
 
 def _cmd_verify(args) -> int:
     header, suite = SUITES[args.suite]
+    rows = suite(args.max_n, args.jobs)
+    first = next(rows, None)
+    if first is None:
+        print(f"error: --max-n {args.max_n} leaves the {args.suite} suite with nothing to check",
+              file=sys.stderr)
+        return EXIT_USAGE
     print(header)
     failed = False
-    for *fields, match in suite(args.max_n, args.jobs):
+    for *fields, match in itertools.chain([first], rows):
         print(*fields, "true" if match else "false", sep=",")
         failed = failed or not match
     return EXIT_VERIFY if failed else EXIT_OK

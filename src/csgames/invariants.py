@@ -11,9 +11,9 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .core import SimpleGame, type_partition, _json_ints, _winning_table
+from .core import SimpleGame, type_partition, _json_ints
 from .errors import CapacityError, ValidationError
-from .profiles import Profile, prefix_sums
+from .profiles import DeltaTable, Profile, delta_table, prefix_sums
 
 WINNING_SET_CAP = 10**6
 
@@ -130,47 +130,24 @@ def is_winning_profile(inv: Invariants, profile) -> bool:
     return wins_counts(inv.n_bar, inv.matrix, counts)
 
 
-def _winning_counts(n_bar, matrix) -> set[tuple[int, ...]]:
+def _winning_bits(n_bar, rows) -> tuple[DeltaTable, int]:
+    """The box's delta table and its profiles at or above some row; caps every conversion's box."""
     box = prod(s + 1 for s in n_bar)
     if box > WINNING_SET_CAP:
-        raise CapacityError(
-            f"box holds {box} profiles (> {WINNING_SET_CAP}); query is_winning_profile instead"
-        )
-    out = set()
-    for counts in itertools.product(*(range(s, -1, -1) for s in n_bar)):
-        if wins_counts(n_bar, matrix, counts):
-            out.add(counts)
-    return out
+        raise CapacityError(f"box holds {box} profiles (> {WINNING_SET_CAP}); query is_winning_profile instead")
+    table = delta_table(tuple(n_bar))
+    return table, table.above(rows)
+
+
+def _shift_minimal(table: DeltaTable, winning: int) -> Invariants:
+    """Invariants whose matrix is the delta-minimal profiles of an up-closed set."""
+    return Invariants(table.sizes, tuple(table.members(table.minimal(winning, table.delta_steps))))
 
 
 def winning_profiles(inv: Invariants) -> frozenset[Profile]:
     """Every profile of the box that dominates some row (the winning set)."""
-    return frozenset(Profile(c) for c in _winning_counts(inv.n_bar, inv.matrix))
-
-
-def shift_minimal_rows(n_bar, winning: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Delta-minimal members of an upward-closed winning set, sorted decreasing lex.
-
-    Minimality only needs the unit steps down in the delta lattice: shifting one
-    member from class k to k+1, or dropping one member of the last class.
-    """
-    t = len(n_bar)
-    rows = []
-    for counts in winning:
-        minimal = True
-        for k in range(t - 1):
-            if counts[k] > 0 and counts[k + 1] < n_bar[k + 1]:
-                lower = counts[:k] + (counts[k] - 1, counts[k + 1] + 1) + counts[k + 2:]
-                if lower in winning:
-                    minimal = False
-                    break
-        if minimal and counts[t - 1] > 0:
-            if counts[: t - 1] + (counts[t - 1] - 1,) in winning:
-                minimal = False
-        if minimal:
-            rows.append(counts)
-    rows.sort(reverse=True)
-    return rows
+    table, winning = _winning_bits(inv.n_bar, inv.matrix)
+    return frozenset(Profile(c) for c in table.members(winning))
 
 
 def expand(inv: Invariants) -> SimpleGame:
@@ -179,49 +156,21 @@ def expand(inv: Invariants) -> SimpleGame:
     Class k is populated with consecutive player indices (class 1 gets 1..n_1).
     Minimal winning coalitions realize the inclusion-minimal winning profiles.
     """
-    winning = _winning_counts(inv.n_bar, inv.matrix)
-    t = inv.t
-    starts = [0]
-    for s in inv.n_bar:
-        starts.append(starts[-1] + s)
-    members = [list(range(starts[k] + 1, starts[k + 1] + 1)) for k in range(t)]
+    table, winning = _winning_bits(inv.n_bar, inv.matrix)
+    # player bits per class; the classes are disjoint, so sums of bits are unions
+    members = [[1 << i for i in range(end - s, end)]
+               for s, end in zip(inv.n_bar, itertools.accumulate(inv.n_bar))]
     masks = []
-    for counts in winning:
-        # inclusion-minimal: dropping any single member must lose
-        if any(
-            counts[k] > 0 and counts[:k] + (counts[k] - 1,) + counts[k + 1:] in winning
-            for k in range(t)
-        ):
-            continue
-        per_class = [
-            [sum(1 << (i - 1) for i in combo) for combo in itertools.combinations(members[k], counts[k])]
-            for k in range(t)
-        ]
-        for parts in itertools.product(*per_class):
-            mask = 0
-            for p in parts:
-                mask |= p
-            masks.append(mask)
+    # inclusion-minimal: dropping any single member must lose
+    for counts in table.members(table.minimal(winning, table.drop_steps)):
+        per_class = [map(sum, itertools.combinations(bits, c)) for bits, c in zip(members, counts)]
+        masks.extend(map(sum, itertools.product(*per_class)))
     return SimpleGame(inv.n, tuple(masks))
 
 
 def extract(game: SimpleGame) -> Invariants:
     """Canonical invariants of a complete game; NotCompleteError otherwise."""
     part = type_partition(game)
-    sizes = part.sizes
-    box = prod(s + 1 for s in sizes)
-    if box > WINNING_SET_CAP:
-        raise CapacityError(f"box holds {box} profiles (> {WINNING_SET_CAP})")
-    table = _winning_table(game)
-    class_bits = [[1 << (i - 1) for i in members] for members in part.classes]
-    winning = set()
-    for counts in itertools.product(*(range(s, -1, -1) for s in sizes)):
-        mask = 0
-        for k, c in enumerate(counts):
-            for b in class_bits[k][:c]:
-                mask |= b
-        if table >> mask & 1:
-            winning.add(counts)
-    rows = shift_minimal_rows(sizes, winning)
-    return Invariants(sizes, tuple(rows))
-
+    class_masks = [sum(1 << (i - 1) for i in members) for members in part.classes]
+    profiles = {tuple((m & c).bit_count() for c in class_masks) for m in game.min_winning}
+    return _shift_minimal(*_winning_bits(part.sizes, profiles))

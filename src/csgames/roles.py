@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .core import SimpleGame, type_partition, _absent_mask, _winning_table
 from .errors import ValidationError
@@ -211,87 +210,3 @@ def present_roles_raw(n_bar, matrix) -> frozenset[Role]:
     for r in _class_roles_raw(n_bar, matrix):
         out |= r
     return frozenset(out)
-
-
-@dataclass
-class AuditReport:
-    """Tally of role combinations over a stream of games.
-
-    Dictator games are bucketed separately; for the rest, both the exact
-    present-role sets and the realized pair/triple sub-combinations are kept,
-    each with the first game observed as an example.
-    """
-
-    dictator_count: int
-    dictator_example: Invariants | None
-    exact_counts: dict[frozenset[Role], int]
-    exact_examples: dict[frozenset[Role], Invariants]
-
-    def combination_count(self, roles: Iterable[Role]) -> int:
-        want = frozenset(roles)
-        return sum(c for s, c in self.exact_counts.items() if want <= s)
-
-    def combination_example(self, roles: Iterable[Role]) -> Invariants | None:
-        want = frozenset(roles)
-        # insertion order of exact_examples follows first occurrence in the stream
-        for s, example in self.exact_examples.items():
-            if want <= s:
-                return example
-        return None
-
-    def merge(self, other: "AuditReport") -> "AuditReport":
-        """Combine per-shard tallies; earlier shards keep the examples."""
-        counts = dict(self.exact_counts)
-        examples = dict(self.exact_examples)
-        for s, c in other.exact_counts.items():
-            counts[s] = counts.get(s, 0) + c
-            examples.setdefault(s, other.exact_examples[s])
-        return AuditReport(
-            self.dictator_count + other.dictator_count,
-            self.dictator_example or other.dictator_example,
-            counts,
-            examples,
-        )
-
-    def csv_rows(self) -> Iterator[tuple[str, int, str]]:
-        """(combination, count, example) rows for every realized pair and triple."""
-        import itertools as _it
-        import json as _json
-
-        seen_roles = sorted(
-            {r for s in self.exact_counts for r in s}, key=lambda r: r.value
-        )
-        for size in (2, 3):
-            for combo in _it.combinations(seen_roles, size):
-                count = self.combination_count(combo)
-                if count == 0:
-                    continue
-                example = self.combination_example(combo)
-                yield (
-                    "+".join(r.value for r in combo),
-                    count,
-                    _json.dumps(example.to_json_dict(), sort_keys=True, separators=(",", ":")),
-                )
-        if self.dictator_count:
-            yield (
-                "dictator",
-                self.dictator_count,
-                _json.dumps(
-                    self.dictator_example.to_json_dict(), sort_keys=True, separators=(",", ":")
-                ),
-            )
-
-
-def audit_role_pairs(games: Iterable[Invariants]) -> AuditReport:
-    """Tallies the distinguished-role sets present across a stream of invariants."""
-    report = AuditReport(0, None, {}, {})
-    for inv in games:
-        present = present_roles_raw(inv.n_bar, inv.matrix)
-        if Role.DICTATOR in present:
-            report.dictator_count += 1
-            if report.dictator_example is None:
-                report.dictator_example = inv
-            continue
-        report.exact_counts[present] = report.exact_counts.get(present, 0) + 1
-        report.exact_examples.setdefault(present, inv)
-    return report

@@ -7,12 +7,11 @@ applying a map outside its class raises DomainError naming the missing role.
 from __future__ import annotations
 
 import enum
-import itertools
 from functools import lru_cache
 
 from .core import SimpleGame, coalition_members
-from .errors import CapacityError, DomainError, ValidationError
-from .invariants import Invariants, WINNING_SET_CAP, shift_minimal_rows, wins_counts
+from .errors import DomainError, ValidationError
+from .invariants import Invariants, _shift_minimal, _winning_bits
 from .roles import Role, role_present_raw
 
 
@@ -42,16 +41,8 @@ def dual(game: SimpleGame) -> SimpleGame:
 
 def dual_invariants(inv: Invariants) -> Invariants:
     """Invariants of the dual game, computed on profiles (same class sizes)."""
-    n_bar = inv.n_bar
-    if inv.box_size > WINNING_SET_CAP:
-        raise CapacityError(f"box holds {inv.box_size} profiles (> {WINNING_SET_CAP})")
-    winning = set()
-    for counts in itertools.product(*(range(s, -1, -1) for s in n_bar)):
-        complement = tuple(s - c for s, c in zip(n_bar, counts))
-        if not wins_counts(n_bar, inv.matrix, complement):
-            winning.add(counts)
-    rows = shift_minimal_rows(n_bar, winning)
-    return Invariants(n_bar, tuple(rows))
+    table, winning = _winning_bits(inv.n_bar, inv.matrix)
+    return _shift_minimal(table, table.blocking(winning))
 
 
 class Bijection(enum.Enum):

@@ -35,8 +35,8 @@ def test_validate_reports_violations(capsys, monkeypatch):
     assert "condition3" in err
 
 
-def assert_one_error_line(code, out, err):
-    assert code == 1
+def assert_one_error_line(code, out, err, exit_code=1):
+    assert code == exit_code
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -211,6 +211,29 @@ def test_capacity_abort(capsys):
     code, out, err = run(capsys, ["count", "--n", "64", "--t", "40"])
     assert code == 3
     assert err.startswith("error:")
+
+
+# a box of 1001 * 1000 profiles, just over the conversions' cap
+BIG_BOX = '{"n_bar":[1000,999],"M":[[1000,0]]}'
+
+
+@pytest.mark.parametrize("command", ["expand", "dual"])
+def test_conversion_over_box_cap_exits_3(capsys, monkeypatch, command):
+    assert_one_error_line(*run(capsys, [command, "-"], BIG_BOX, monkeypatch), exit_code=3)
+
+
+@pytest.mark.parametrize("rows", [[], ["--rows", "1"]], ids=["all-rows", "rows-1"])
+def test_count_over_box_cap_exits_3(capsys, rows):
+    # the one composition of 31 into 31 parts has a box of 2^31 profiles
+    assert_one_error_line(*run(capsys, ["count", "--n", "31", "--t", "31", *rows]), exit_code=3)
+
+
+EMPTY_SUITES = {"bijections": "1", "sequences": "-5", "duality": "0", "oracle": "0", "rows": "0"}
+
+
+@pytest.mark.parametrize("suite,max_n", EMPTY_SUITES.items(), ids=EMPTY_SUITES.keys())
+def test_verify_empty_suite_is_usage_error(capsys, suite, max_n):
+    assert_one_error_line(*run(capsys, ["verify", "--suite", suite, "--max-n", max_n]), exit_code=2)
 
 
 # sha256 of `csgames verify` stdout, pinned before the checks moved out of the CLI

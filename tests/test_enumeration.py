@@ -6,6 +6,8 @@ import pytest
 from csgames import enumeration, roles
 from csgames.enumeration import (
     EnumSpec,
+    _prepare,
+    _role_table,
     catalog_with_roles,
     compositions,
     count_by_rows,
@@ -15,7 +17,7 @@ from csgames.enumeration import (
 )
 from csgames.errors import ValidationError
 from csgames.formulas import Family, evaluate
-from csgames.oracle import oracle_count
+from csgames.oracle import ORACLE_MAX_PLAYERS, oracle_count
 from csgames.refcounts import CGV_T3, CGVN_T4
 from csgames.roles import Role, present_roles_raw, role_present_raw
 
@@ -37,6 +39,26 @@ def test_compositions_order_and_count():
     assert out == sorted(out, reverse=True)
     assert len(out) == 15  # C(6, 2)
     assert all(sum(c) == 7 and min(c) >= 1 for c in out)
+
+
+def test_prepare_matches_pairwise_reference():
+    for n in range(1, 8):
+        for t in range(1, n + 1):
+            for sizes in compositions(n, t):
+                prep = _prepare(sizes)
+                table = _role_table(sizes)
+                rows = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
+                assert list(prep.rows) == rows
+                prefixes = [tuple(itertools.accumulate(row)) for row in rows]
+                for i, (row, pi) in enumerate(zip(rows, prefixes)):
+                    # a later row is incomparable iff some prefix sum of it is larger
+                    later = [j for j in range(i + 1, len(rows))
+                             if any(b > a for a, b in zip(pi, prefixes[j]))]
+                    assert prep.incomp_after[i] == sum(1 << j for j in later), (sizes, row)
+                    separates = [k for k in range(t - 1) if row[k] > 0 and row[k + 1] < sizes[k + 1]]
+                    assert prep.sat[i] == sum(1 << k for k in separates), (sizes, row)
+                    assert table.vetoer_rows >> i & 1 == (row[0] == sizes[0])
+                    assert table.null_rows >> i & 1 == (row[-1] == 0)
 
 
 def test_catalog_n3_t2_exact():
@@ -99,11 +121,17 @@ def test_determinism_across_job_counts():
 
 
 @pytest.mark.parametrize(
-    "require,forbid",
-    [({Role.SEMI_VETOER, Role.VETOER}, set()), ({Role.SEMI_VETOER}, {Role.VETOER})],
-    ids=["require-both", "forbid-vetoer"],
+    "require,forbid,n,t,games",
+    [
+        ({Role.SEMI_VETOER, Role.VETOER}, set(), 6, 3, 10),
+        ({Role.SEMI_VETOER}, {Role.VETOER}, 6, 3, 27),
+        # dictator aside, each role set holds one three-player game, at t=2 (the oracle sums every t)
+        ({Role.VETOER, Role.NULL}, {Role.DICTATOR}, 3, 2, 1),
+        ({Role.VETOER, Role.SEMI_VETOER, Role.SEMI_PASSER}, {Role.DICTATOR}, 3, 2, 1),
+    ],
+    ids=["require-both", "forbid-vetoer", "vetoer-null-n3", "observed-triple-n3"],
 )
-def test_role_filters_call_no_role_predicates(monkeypatch, require, forbid):
+def test_role_filters_call_no_role_predicates(monkeypatch, require, forbid, n, t, games):
     # filters are decided from bits accumulated in the search, not per matrix
     calls = []
     for module in (roles, enumeration):
@@ -111,12 +139,13 @@ def test_role_filters_call_no_role_predicates(monkeypatch, require, forbid):
             real = getattr(module, name, None)
             if real is not None:
                 monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
-    spec = EnumSpec(n=6, t=3, require=require, forbid=forbid)
-    games = count_games(spec)
-    assert games > 0
+    spec = EnumSpec(n=n, t=t, require=require, forbid=forbid)
+    assert count_games(spec) == games
     assert sum(1 for _ in raw_pairs(spec)) == games
     assert len(list(enumerate_invariants(spec))) == games
     assert calls == []
+    if n <= ORACLE_MAX_PLAYERS:
+        assert oracle_count(n, None, require, forbid) == games
 
 
 FILTERS = (

@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csgames.core import SimpleGame
-from csgames.errors import NotCompleteError, ValidationError
+from csgames.enumeration import EnumSpec, raw_pairs
+from csgames.errors import CapacityError, NotCompleteError, ValidationError
 from csgames.invariants import (
+    WINNING_SET_CAP,
     Invariants,
     check_conditions,
     expand,
@@ -14,7 +17,9 @@ from csgames.invariants import (
     is_winning_profile,
     validate,
     winning_profiles,
+    wins_counts,
 )
+from csgames.transforms import dual_invariants
 
 from conftest import inv
 
@@ -112,15 +117,33 @@ def test_extract_rejects_incomplete():
 def test_rows_are_winning_and_necessary():
     # dropping a row shrinks the winning set even when the remainder is no
     # longer a valid canonical matrix, so work on the raw closure
-    from csgames.invariants import _winning_counts
+    from csgames.invariants import _winning_bits
 
     for candidate in (EX2, inv((1, 2), [[1, 0], [0, 2]]), inv((3, 2, 1), [[3, 0, 0], [2, 2, 0]])):
-        full = _winning_counts(candidate.n_bar, candidate.matrix)
+        _, full = _winning_bits(candidate.n_bar, candidate.matrix)
         for drop in range(candidate.r):
             rows = candidate.matrix[:drop] + candidate.matrix[drop + 1:]
             assert is_winning_profile(candidate, candidate.matrix[drop])
             if rows:
-                assert _winning_counts(candidate.n_bar, rows) != full
+                assert _winning_bits(candidate.n_bar, rows)[1] != full
+
+
+def test_winning_profiles_match_point_queries():
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            for sizes, matrix in raw_pairs(EnumSpec(n=n, t=t)):
+                box = itertools.product(*(range(s + 1) for s in sizes))
+                expected = {counts for counts in box if wins_counts(sizes, matrix, counts)}
+                got = winning_profiles(Invariants(sizes, matrix))
+                assert {p.counts for p in got} == expected, (sizes, matrix)
+
+
+def test_conversions_cap_the_box():
+    big = inv((1000, 999), [[1000, 0]])
+    assert big.box_size > WINNING_SET_CAP
+    for convert in (winning_profiles, expand, dual_invariants):
+        with pytest.raises(CapacityError):
+            convert(big)
 
 
 def test_monotone_closure_of_winning_set():

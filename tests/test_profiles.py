@@ -8,10 +8,12 @@ from csgames.core import SimpleGame, type_partition
 from csgames.errors import ValidationError
 from csgames.profiles import (
     DeltaRelation,
+    DeltaTable,
     Profile,
     ProfileBox,
     box_profiles,
     delta_compare,
+    prefix_sums,
     profile_of,
 )
 
@@ -118,3 +120,40 @@ def test_exhaustive_partial_order_small_box():
             DeltaRelation.INCOMPARABLE: DeltaRelation.INCOMPARABLE,
         }
         assert back is flips[rel]
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3,), (2, 3), (1, 1, 2), (2, 1, 3, 1)])
+def test_delta_table_matches_definitions(sizes):
+    table = DeltaTable(sizes)
+    profiles = [p.counts for p in box_profiles(ProfileBox(sizes))]
+    index = {c: i for i, c in enumerate(profiles)}
+    assert table.members(table.full) == profiles
+
+    def bits(keep):
+        return sum(1 << i for i, c in enumerate(profiles) if keep(c))
+
+    for k in range(len(sizes)):
+        for v in range(-1, sum(sizes) + 2):
+            assert table.class_at_least(k, v) == bits(lambda c: c[k] >= v)
+            assert table.prefix_at_least(k, v) == bits(lambda c: sum(c[: k + 1]) >= v)
+
+    def step(c, k, moved):
+        lower = list(c)
+        lower[k] -= 1
+        if moved:
+            lower[k + 1] += 1
+        return tuple(lower)
+
+    last = len(sizes) - 1
+    # (k, moved): a delta step moves one member of class k to k + 1 or drops one
+    # of the last class; a drop step drops one member of class k
+    kinds = [(k, k < last) for k in range(last + 1)] + [(k, False) for k in range(last + 1)]
+    for (offset, can_step), (k, moved) in zip(table.delta_steps + table.drop_steps, kinds):
+        assert can_step == bits(lambda c: step(c, k, moved) in index)
+        assert all(index[step(c, k, moved)] - index[c] == offset
+                   for c in profiles if step(c, k, moved) in index)
+    for row in profiles:
+        up = table.above([row])
+        above = {c for c in profiles if all(a >= b for a, b in zip(prefix_sums(c), prefix_sums(row)))}
+        assert up == bits(lambda c: c in above)
+        assert table.blocking(up) == bits(lambda c: tuple(s - x for s, x in zip(sizes, c)) not in above)

@@ -8,7 +8,7 @@ from csgames.core import SimpleGame, WeightedRepresentation, from_weighted
 from csgames.enumeration import EnumSpec, raw_pairs
 from csgames.errors import ValidationError
 from csgames.invariants import expand
-from csgames.roles import Role, audit_role_pairs, semantic_roles, structural_roles
+from csgames.roles import Role, semantic_roles, structural_roles
 from csgames.transforms import dual, dual_invariants
 
 from conftest import inv
@@ -197,42 +197,3 @@ def test_semi_vetoer_semi_passer_games_closed_under_duality(small_catalog):
     assert dual_invariants(majority) == majority
     assert dual_invariants(pair[0]) == pair[1]
     assert dual_invariants(pair[1]) == pair[0]
-
-
-def test_audit_examples_n3(small_catalog):
-    invs = [g for t in (1, 2, 3) for g in small_catalog[(3, t)]]
-    report = audit_role_pairs(invs)
-    assert report.dictator_count == 1
-    assert report.dictator_example == inv((1, 2), [[1, 0]])
-    assert report.combination_count([Role.VETOER, Role.NULL]) == 1
-    assert report.combination_example([Role.VETOER, Role.NULL]) == inv((2, 1), [[2, 0]])
-    assert report.combination_count([Role.SEMI_VETOER, Role.SEMI_PASSER]) == 3
-    # observed triple, diverging from the no-three-roles claim
-    assert report.combination_count([Role.VETOER, Role.SEMI_VETOER, Role.SEMI_PASSER]) == 1
-    assert (
-        report.combination_example([Role.VETOER, Role.SEMI_VETOER, Role.SEMI_PASSER])
-        == inv((1, 2), [[1, 1]])
-    )
-
-
-def test_audit_csv_rows(small_catalog):
-    invs = [g for t in (1, 2, 3) for g in small_catalog[(3, t)]]
-    rows = list(audit_role_pairs(invs).csv_rows())
-    combos = {r[0] for r in rows}
-    assert "null+vetoer" in combos
-    assert "dictator" in combos
-    for _, count, example in rows:
-        assert count >= 1 and example.startswith("{")
-
-
-def test_audit_shard_merge_is_associative(small_catalog):
-    invs = [g for t in (1, 2, 3, 4) for g in small_catalog[(4, t)]]
-    whole = audit_role_pairs(invs)
-    a, b, c = invs[:5], invs[5:11], invs[11:]
-    left = audit_role_pairs(a).merge(audit_role_pairs(b)).merge(audit_role_pairs(c))
-    right = audit_role_pairs(a).merge(audit_role_pairs(b).merge(audit_role_pairs(c)))
-    for merged in (left, right):
-        assert merged.exact_counts == whole.exact_counts
-        assert merged.exact_examples == whole.exact_examples
-        assert merged.dictator_count == whole.dictator_count
-        assert merged.dictator_example == whole.dictator_example
