@@ -4,10 +4,9 @@ For each class-size composition, matrices are grown row by row in strictly
 decreasing lexicographic order while keeping the rows pairwise incomparable in
 the delta order, so every valid (n_bar, M) pair is produced exactly once and
 already in canonical form.  Candidate rows, their pairwise comparabilities and
-their separation-condition contributions are precomputed per box as bitmasks,
-which keeps the inner search loop to a few integer operations per node.  Role
-filters ride in the same accumulator: each row also carries the win bits of
-the role test profiles, and a leaf's bits decide its roles through a memo.
+their separation bits are precomputed per box as bitmasks.  Role filters ride
+in the search's accumulator as per-row win bits, decided at a leaf by a memo.
+Unfiltered counts skip the search: a memoized recurrence counts the antichains.
 """
 
 from __future__ import annotations
@@ -181,42 +180,48 @@ def _role_table(sizes: tuple[int, ...]) -> _RoleTable:
                       delta.full ^ delta.class_at_least(len(sizes) - 1, 1))
 
 
-# Kept beside _matrices_from_start: counting through a generator or a callback
-# version of that search took 1.1-1.9 times as long on CG(10,4) and CG(13,3).
-def _count_from_start(prep: _Prep, start: int, row_limit: int | None) -> int:
-    sat = prep.sat
-    inc = prep.incomp_after
-    suf = prep.suffix_sat
-    full = prep.full
+@lru_cache(maxsize=1)
+def _antichain_counter(sizes: tuple[int, ...]):
+    """A(q): the antichains, the empty one too, among the rows in mask q.
 
-    def rec(allowed: int, s: int, depth: int) -> int:
-        total = 0
-        a = allowed
-        while a:
-            low = a & -a
-            k = low.bit_length() - 1
-            a ^= low
-            s2 = s | sat[k]
-            d2 = depth + 1
-            if s2 == full and (row_limit is None or d2 == row_limit):
-                total += 1
-            if row_limit is None or d2 < row_limit:
-                child = allowed & inc[k]
-                if child:
-                    lo = (child & -child).bit_length() - 1
-                    if not (full & ~s2) & ~suf[lo]:
-                        total += rec(child, s2, d2)
-        return total
+    Rows run in decreasing lex order, so the lowest bit x of q is a maximal row
+    of q: A(q) = A(q − x) + A(q ∩ incomp_after[x]).  One composition's memo.
+    """
+    inc = _prepare(sizes).incomp_after
+    memo = {0: 1}
 
-    s0 = sat[start]
-    total = 1 if s0 == full and (row_limit is None or row_limit == 1) else 0
-    if row_limit is None or row_limit > 1:
-        child = inc[start]
-        if child:
-            lo = (child & -child).bit_length() - 1
-            if not (full & ~s0) & ~suf[lo]:
-                total += rec(child, s0, 1)
-    return total
+    def count(q: int) -> int:
+        stack = [q]  # explicit: the recursion gets as deep as the box
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            rest, inner = top & (top - 1), top & inc[(top & -top).bit_length() - 1]
+            if rest in memo and inner in memo:
+                memo[top] = memo[rest] + memo[inner]
+                stack.pop()
+            else:
+                stack += (rest, inner)
+        return memo[q]
+
+    return count
+
+
+def _count_by_antichains(sizes: tuple[int, ...], start: int) -> int:
+    """Unfiltered games of one shard, counted without building them.
+
+    The other rows form an antichain in ``incomp_after[start]``; inclusion-
+    exclusion runs over the sets S of boundaries that ``start`` leaves open,
+    each term counting the antichains whose rows separate no boundary in S.
+    """
+    prep = _prepare(sizes)
+    terms = [(1, 0)]  # (sign, rows separating some boundary of S)
+    for k, (_, separating) in enumerate(delta_table(sizes).delta_steps[:-1]):
+        if not prep.sat[start] >> k & 1:
+            terms += [(-sign, rows | separating) for sign, rows in terms]
+    count = _antichain_counter(sizes)
+    return sum(sign * count(prep.incomp_after[start] & ~rows) for sign, rows in terms)
 
 
 def _matrices_from_start(prep: _Prep, table: _RoleTable, start: int, row_limit: int | None,
@@ -264,23 +269,20 @@ def _matrices_from_start(prep: _Prep, table: _RoleTable, start: int, row_limit: 
                 yield from rec(child, s0, 1)
 
 
-# rows=1 skips _prepare, whose incomparability table holds box² bits: Σₜ CG(12,t,1)
-# took 7.5 s and 420 MB through it, against 1.0 s here (one core, Python 3.11).
 def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
-    """Single-row matrices in decreasing lex order, skipping the pairwise tables.
+    """Single-row matrices in decreasing lex order, skipping ``_prepare``'s box² table.
 
-    A lone row must start positive and satisfy the separation condition at
-    every class boundary by itself.
+    A lone row must start positive and separate every class boundary by
+    itself: r₁ ∈ [1, n₁], 0 < r_k < n_k in between and r_t ∈ [0, n_t − 1].
     """
     box = prod(s + 1 for s in sizes)
     if box > BOX_CAP:
         raise CapacityError(f"profile box holds {box} candidate rows (> {BOX_CAP})")
-    t = len(sizes)
-    ranges = [range(sizes[0], 0, -1)]
-    ranges.extend(range(s, -1, -1) for s in sizes[1:])
-    for counts in itertools.product(*ranges):
-        if all(counts[k] > 0 and counts[k + 1] < sizes[k + 1] for k in range(t - 1)):
-            yield (counts,)
+    ranges = [range(s - 1, 0, -1) for s in sizes]
+    ranges[0] = range(sizes[0], 0, -1)
+    if len(sizes) > 1:
+        ranges[-1] = range(sizes[-1] - 1, -1, -1)
+    yield from ((counts,) for counts in itertools.product(*ranges))
 
 
 def _shards(spec: EnumSpec) -> Iterator[tuple[tuple[int, ...], int | None]]:
@@ -301,22 +303,20 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...], start: int | None):
     ``_roles(sizes)[key]`` is the matrix's present-role set.  A required
     vetoer (every row has r_1 = n_1) or null (every row ends in 0) is a
     condition on each row, so it masks the rows the search may use.
-    An unfiltered rows=1 shard yields None keys: it skips the role tables,
-    which cost more than its rows (about 2.3 s against 1.3 s for Σₜ CG(12,t,1)
-    on one core).
+    A rows=1 shard builds the role tables only for a composition that has a
+    lone row, and only when filtered; unfiltered, it yields None keys.
     """
-    if start is None and not spec.filtered:
-        yield from ((matrix, None) for matrix in _single_rows(sizes))
-        return
-    keep = _keep(sizes, spec.require, spec.forbid)
     if start is None:
-        roles = _roles(sizes)
-        lone = (1 << (len(sizes) - 1)) - 1 | roles.one_row
         for matrix in _single_rows(sizes):
-            key = lone | roles.row_bits(matrix[0])
-            if keep[key]:
+            if not spec.filtered:
+                yield matrix, None
+                continue
+            roles = _roles(sizes)
+            key = (1 << (len(sizes) - 1)) - 1 | roles.one_row | roles.row_bits(matrix[0])
+            if _keep(sizes, spec.require, spec.forbid)[key]:
                 yield matrix, key
         return
+    keep = _keep(sizes, spec.require, spec.forbid)
     table = _role_table(sizes)
     mask = -1
     if Role.VETOER in spec.require:
@@ -340,9 +340,9 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
 
 def _count_shard(spec: EnumSpec, shard) -> int:
     sizes, start = shard
-    if start is None or spec.filtered:
-        return sum(1 for _ in _shard_matrices(spec, sizes, start))
-    return _count_from_start(_prepare(sizes), start, spec.rows)
+    if spec.rows is None and not spec.filtered:
+        return _count_by_antichains(sizes, start)
+    return sum(1 for _ in _shard_matrices(spec, sizes, start))
 
 
 def _pairs_shard(spec: EnumSpec, shard) -> list:

@@ -8,6 +8,7 @@ from csgames.enumeration import (
     EnumSpec,
     _prepare,
     _role_table,
+    _single_rows,
     catalog_with_roles,
     compositions,
     count_by_rows,
@@ -18,7 +19,8 @@ from csgames.enumeration import (
 from csgames.errors import ValidationError
 from csgames.formulas import Family, evaluate
 from csgames.oracle import ORACLE_MAX_PLAYERS, oracle_count
-from csgames.refcounts import CGV_T3, CGVN_T4
+from csgames.checks import reference_row
+from csgames.refcounts import CG_LARGE, CG_T3, CGV_T3, CGVN_T4
 from csgames.roles import Role, present_roles_raw, role_present_raw
 
 from conftest import inv
@@ -86,11 +88,37 @@ def test_veto_filter_n3():
     assert count_games(EnumSpec(n=3, t=2, require=frozenset({Role.VETOER}))) == 3
 
 
+def _assert_count_equals_stream_length(cells):
+    # the antichain counter against the one search, at one and two workers
+    for n, t in cells:
+        spec = EnumSpec(n=n, t=t)
+        streamed = sum(1 for _ in raw_pairs(spec))
+        assert count_games(spec) == count_games(spec, jobs=2) == streamed, (n, t)
+
+
 def test_count_equals_stream_length():
-    for n in range(2, 7):
-        for t in range(1, min(n, 4) + 1):
-            spec = EnumSpec(n=n, t=t)
-            assert count_games(spec) == sum(1 for _ in enumerate_invariants(spec))
+    # n=8 at t=7 and t=8 streams 14 million games; see the stretch test
+    _assert_count_equals_stream_length(
+        (n, t) for n in range(1, 9) for t in range(1, n + 1) if n < 8 or t < 7)
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_count_equals_stream_length_stretch():
+    _assert_count_equals_stream_length([(8, 7), (8, 8)])
+
+
+def _single_rows_reference(sizes):
+    # the full box, filtered row by row to the lone rows that separate every boundary
+    ranges = [range(sizes[0], 0, -1)] + [range(s, -1, -1) for s in sizes[1:]]
+    return [(counts,) for counts in itertools.product(*ranges)
+            if all(counts[k] > 0 and counts[k + 1] < sizes[k + 1] for k in range(len(sizes) - 1))]
+
+
+def test_single_rows_match_filtered_box():
+    for n in range(1, 11):
+        for t in range(1, n + 1):
+            for sizes in compositions(n, t):
+                assert list(_single_rows(sizes)) == _single_rows_reference(sizes), sizes
 
 
 def test_no_duplicates_and_all_valid():
@@ -191,6 +219,17 @@ def test_filtered_reference_tables_stretch():
     vetoer_null = frozenset({Role.VETOER, Role.NULL})
     for n in (12, 13, 14):
         assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
+
+
+def test_unfiltered_reference_tables():
+    for n in range(10, 16):
+        assert reference_row(n, 3, CG_T3[n])[-1], n
+    assert reference_row(11, 4, CG_LARGE[(11, 4)])[-1]
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_unfiltered_reference_tables_stretch():
+    assert reference_row(12, 4, CG_LARGE[(12, 4)])[-1]
 
 
 def test_count_matches_formula_t2():
