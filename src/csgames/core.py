@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import lcm
 from typing import Iterable
 
@@ -245,15 +247,12 @@ def type_partition(game: SimpleGame) -> TypePartition:
                 break
         else:
             classes.append([i])
-    classes.sort(key=lambda members: members[0])
     # strongest class first; representatives are strictly ordered
     classes.sort(key=_class_sort_key(geq))
     return TypePartition(tuple(tuple(m) for m in classes))
 
 
 def _class_sort_key(geq):
-    import functools
-
     def cmp(a, b):
         i, j = a[0], b[0]
         if geq[i][j] and not geq[j][i]:
@@ -262,7 +261,7 @@ def _class_sort_key(geq):
             return 1
         return 0
 
-    return functools.cmp_to_key(cmp)
+    return cmp_to_key(cmp)
 
 
 @dataclass(frozen=True)
@@ -289,15 +288,32 @@ class WeightedRepresentation:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedRepresentation":
         try:
-            quota = Fraction(str(data["quota"]))
+            quota = _fraction(str(data["quota"]))
             raw = data["weights"]
             # a string is iterable too, and would give one weight per character
             if not isinstance(raw, list):
                 raise TypeError(f"'weights' is not an array: {raw!r}")
-            weights = tuple(Fraction(str(w)) for w in raw)
+            weights = tuple(_fraction(str(w)) for w in raw)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("weighted JSON needs a 'quota' string and a 'weights' array of strings") from exc
         return cls(quota, weights)
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent too large to expand.
+
+    Fraction builds 10**exponent, so an exponent such as 1e999999999 stalls
+    the parse.  Long digit strings already fail at the interpreter's digit
+    limit; an exponent gets the same limit.
+    """
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent of {text!r} exceeds {limit}")
+    return Fraction(text)
 
 
 def from_weighted(rep: WeightedRepresentation) -> SimpleGame:

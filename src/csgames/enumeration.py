@@ -208,20 +208,22 @@ def _antichain_counter(sizes: tuple[int, ...]):
     return count
 
 
-def _count_by_antichains(sizes: tuple[int, ...], start: int) -> int:
-    """Unfiltered games of one shard, counted without building them.
+def _count_by_antichains(sizes: tuple[int, ...]) -> int:
+    """Unfiltered games of one composition, counted without building them.
 
-    The other rows form an antichain in ``incomp_after[start]``; inclusion-
-    exclusion runs over the sets S of boundaries that ``start`` leaves open,
-    each term counting the antichains whose rows separate no boundary in S.
+    A game is a nonempty antichain whose lex-largest row starts positive and
+    that separates every boundary.  Inclusion-exclusion runs over the sets S
+    of boundaries, each term counting the antichains whose rows separate no
+    boundary in S, less those whose rows all start with 0.
     """
     prep = _prepare(sizes)
+    every = (1 << len(prep.rows)) - 1
+    zero_first = every >> prep.first_count << prep.first_count
     terms = [(1, 0)]  # (sign, rows separating some boundary of S)
-    for k, (_, separating) in enumerate(delta_table(sizes).delta_steps[:-1]):
-        if not prep.sat[start] >> k & 1:
-            terms += [(-sign, rows | separating) for sign, rows in terms]
+    for _, separating in delta_table(sizes).delta_steps[:-1]:
+        terms += [(-sign, rows | separating) for sign, rows in terms]
     count = _antichain_counter(sizes)
-    return sum(sign * count(prep.incomp_after[start] & ~rows) for sign, rows in terms)
+    return sum(sign * (count(every & ~rows) - count(zero_first & ~rows)) for sign, rows in terms)
 
 
 def _matrices_from_start(prep: _Prep, table: _RoleTable, start: int, row_limit: int | None,
@@ -285,28 +287,16 @@ def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
     yield from ((counts,) for counts in itertools.product(*ranges))
 
 
-def _shards(spec: EnumSpec) -> Iterator[tuple[tuple[int, ...], int | None]]:
-    """(composition, first-row index) pairs in stream order.
-
-    With rows=1 a composition is one shard, marked by a start of None.
-    """
-    for comp in compositions(spec.n, spec.t):
-        if spec.rows == 1:
-            yield comp, None
-        else:
-            yield from ((comp, start) for start in range(_prepare(comp).first_count))
-
-
-def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...], start: int | None):
-    """(matrix, key) pairs of one shard that pass the spec's role filters.
+def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
+    """(matrix, key) pairs of one composition that pass the spec's role filters.
 
     ``_roles(sizes)[key]`` is the matrix's present-role set.  A required
     vetoer (every row has r_1 = n_1) or null (every row ends in 0) is a
     condition on each row, so it masks the rows the search may use.
-    A rows=1 shard builds the role tables only for a composition that has a
+    With rows=1 the role tables are built only for a composition that has a
     lone row, and only when filtered; unfiltered, it yields None keys.
     """
-    if start is None:
+    if spec.rows == 1:
         for matrix in _single_rows(sizes):
             if not spec.filtered:
                 yield matrix, None
@@ -316,6 +306,7 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...], start: int | None):
             if _keep(sizes, spec.require, spec.forbid)[key]:
                 yield matrix, key
         return
+    prep = _prepare(sizes)
     keep = _keep(sizes, spec.require, spec.forbid)
     table = _role_table(sizes)
     mask = -1
@@ -323,43 +314,41 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...], start: int | None):
         mask &= table.vetoer_rows
     if Role.NULL in spec.require:
         mask &= table.null_rows
-    if mask >> start & 1:
-        yield from _matrices_from_start(_prepare(sizes), table, start, spec.rows, mask, keep)
+    for start in range(prep.first_count):
+        if mask >> start & 1:
+            yield from _matrices_from_start(prep, table, start, spec.rows, mask, keep)
 
 
 def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
-    """fn(spec, shard) for every shard, in stream order; jobs > 1 runs them in worker processes."""
+    """fn(spec, sizes) for every composition, in stream order; jobs > 1 runs them in worker processes."""
     work = partial(fn, spec)
     if jobs <= 1:
-        yield from map(work, _shards(spec))
+        yield from map(work, compositions(spec.n, spec.t))
         return
-    shards = list(_shards(spec))
+    shards = list(compositions(spec.n, spec.t))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(work, shards, chunksize=max(1, len(shards) // (jobs * 8)))
 
 
-def _count_shard(spec: EnumSpec, shard) -> int:
-    sizes, start = shard
+def _count_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
     if spec.rows is None and not spec.filtered:
-        return _count_by_antichains(sizes, start)
-    return sum(1 for _ in _shard_matrices(spec, sizes, start))
+        return _count_by_antichains(sizes)
+    return sum(1 for _ in _shard_matrices(spec, sizes))
 
 
-def _pairs_shard(spec: EnumSpec, shard) -> list:
-    sizes, start = shard
-    return [(sizes, matrix) for matrix, _ in _shard_matrices(spec, sizes, start)]
+def _pairs_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> list:
+    return [(sizes, matrix) for matrix, _ in _shard_matrices(spec, sizes)]
 
 
-def _catalog_shard(spec: EnumSpec, shard) -> list:
-    sizes, start = shard
+def _catalog_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> list:
     roles = _roles(sizes)
-    return [(sizes, matrix, roles[key]) for matrix, key in _shard_matrices(spec, sizes, start)]
+    return [(sizes, matrix, roles[key]) for matrix, key in _shard_matrices(spec, sizes)]
 
 
 def raw_pairs(spec: EnumSpec) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """(sizes, matrix) tuples in deterministic order, without building objects."""
-    for sizes, start in _shards(spec):
-        for matrix, _ in _shard_matrices(spec, sizes, start):
+    for sizes in compositions(spec.n, spec.t):
+        for matrix, _ in _shard_matrices(spec, sizes):
             yield sizes, matrix
 
 

@@ -1,7 +1,13 @@
+import copy
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames import refcounts
 from csgames.cli import main
@@ -54,12 +60,89 @@ NON_INTEGER_JSON = {
     "weights-string": ("classify", '{"quota":"1","weights":"12"}'),
     "quota-zero-denominator": ("classify", '{"quota":"1/0","weights":["1"]}'),
     "weight-zero-denominator": ("classify", '{"quota":"1","weights":["1/0"]}'),
+    # Fraction would build 10**exponent before any check could reject it
+    "quota-huge-exponent": ("classify", '{"quota":"1e999999999","weights":["1","1"]}'),
+    "weight-huge-exponent": ("classify", '{"quota":"1","weights":["1e9999999","1"]}'),
 }
 
 
 @pytest.mark.parametrize("command,text", NON_INTEGER_JSON.values(), ids=NON_INTEGER_JSON.keys())
 def test_non_integer_json_entries_rejected(capsys, monkeypatch, command, text):
     assert_one_error_line(*run(capsys, [command, "-"], text, monkeypatch))
+
+
+VALID_DOCUMENTS = [
+    json.loads(EX2_INV),
+    json.loads(EX1_GAME),
+    {"quota": "5/2", "weights": ["2", "1", "1/2", "0"]},
+]
+KEYS = ["n", "min_winning", "n_bar", "M", "quota", "weights"]
+LEAVES = st.one_of(
+    st.sampled_from(["", "x", "2", "-1", "1/2", "1/0", "0.5", "1e999999999", "-1e-9999999", "2E1", "1e_"]),
+    st.integers(min_value=-3, max_value=6),
+    st.none() | st.booleans() | st.floats(min_value=-4, max_value=4),
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def perturbed_documents(draw):
+    """A valid game, invariants or weighted document with a few values replaced, dropped or added."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not doc:
+            break
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        # descend into arrays now and then, so entries and rows get perturbed too (a ragged M)
+        while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+            parent, key = parent[key], draw(st.integers(min_value=0, max_value=len(parent[key]) - 1))
+        action = draw(st.sampled_from(["leaf", "value", "drop", "add"]))
+        if action == "drop":
+            del parent[key]
+        elif action != "add":
+            parent[key] = draw(LEAVES if action == "leaf" else JSON_VALUES)
+        elif isinstance(parent, list):
+            parent.insert(key, draw(LEAVES))
+        else:
+            parent[draw(st.sampled_from(KEYS))] = draw(JSON_VALUES)
+    return doc
+
+
+def run_isolated(argv, stdin):
+    # capsys and monkeypatch are per test, not per Hypothesis example
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+CONTRACT_COMMANDS = st.sampled_from(["validate", "expand", "extract", "classify", "dual"])
+
+
+def assert_cli_contract(command, document):
+    code, out, err = run_isolated([command, "-"], json.dumps(document))
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 3)
+        assert_one_error_line(code, out, err, exit_code=code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONTRACT_COMMANDS, JSON_VALUES)
+def test_cli_contract_on_random_json(command, document):
+    assert_cli_contract(command, document)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CONTRACT_COMMANDS, perturbed_documents())
+def test_cli_contract_on_perturbed_documents(command, document):
+    assert_cli_contract(command, document)
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])

@@ -6,8 +6,10 @@ import pytest
 from csgames import enumeration, roles
 from csgames.enumeration import (
     EnumSpec,
+    _count_by_antichains,
     _prepare,
     _role_table,
+    _shard_matrices,
     _single_rows,
     catalog_with_roles,
     compositions,
@@ -105,6 +107,14 @@ def test_count_equals_stream_length():
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_count_equals_stream_length_stretch():
     _assert_count_equals_stream_length([(8, 7), (8, 8)])
+
+
+def test_count_by_antichains_per_composition():
+    for n in range(1, 8):
+        for t in range(1, n + 1):
+            spec = EnumSpec(n=n, t=t)
+            for sizes in compositions(n, t):
+                assert _count_by_antichains(sizes) == sum(1 for _ in _shard_matrices(spec, sizes)), sizes
 
 
 def _single_rows_reference(sizes):
