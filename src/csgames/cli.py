@@ -109,14 +109,18 @@ def _roles_from(names) -> frozenset[Role]:
     return frozenset(Role.from_name(name) for name in names or ())
 
 
-def _cmd_enumerate(args) -> int:
-    spec = EnumSpec(
+def _spec(args) -> EnumSpec:
+    return EnumSpec(
         n=args.n,
         t=args.t,
         rows=args.rows,
         require=_roles_from(args.require),
         forbid=_roles_from(args.forbid),
     )
+
+
+def _cmd_enumerate(args) -> int:
+    spec = _spec(args)
     if args.count_only:
         print(count_games(spec, jobs=args.jobs))
         return EXIT_OK
@@ -141,13 +145,7 @@ def _filter_label(spec: EnumSpec) -> str:
 
 
 def _cmd_count(args) -> int:
-    spec = EnumSpec(
-        n=args.n,
-        t=args.t,
-        rows=args.rows,
-        require=_roles_from(args.require),
-        forbid=_roles_from(args.forbid),
-    )
+    spec = _spec(args)
     value = count_games(spec, jobs=args.jobs)
     if args.format == "csv":
         print("n,t,r,filter,count")
@@ -159,7 +157,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_formula(args) -> int:
     fam = formulas.Family.from_name(args.family)
-    print(formulas.evaluate(fam, args.n, t=args.t))
+    value = formulas.evaluate(fam, args.n, t=args.t)
+    try:
+        text = str(value)
+    except ValueError as exc:  # a polynomial in a huge --n
+        limit = sys.get_int_max_str_digits()
+        raise CapacityError(f"the value has more than {limit} digits, the int-to-str limit") from exc
+    print(text)
     return EXIT_OK
 
 
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("map", help="apply one of the class bijections to invariants")
-    p.add_argument("--bijection", required=True, choices=["f", "g", "h", "k", "h1", "h2"])
+    p.add_argument("--bijection", required=True, choices=[b.value for b in Bijection])
     p.add_argument("--inverse", action="store_true")
     add_input(p)
     p.set_defaults(func=_cmd_map)

@@ -8,15 +8,27 @@ width shrinks quadratically in the index.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+_LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 
 
 def fib(k: int) -> int:
-    """Fibonacci number with F(0)=0, F(1)=1, iterative and unbounded."""
+    """Fibonacci number with F(0)=0, F(1)=1, iterative.
+
+    F(k) has at most ceil(k * log10(phi)) digits.  A k whose bound passes the
+    interpreter's int-to-str digit limit (0 means no limit) is refused before
+    the loop: the value could not be printed, and the loop would run for hours.
+    """
     if k < 0:
         raise DomainError("fib requires k >= 0")
+    limit = sys.get_int_max_str_digits()
+    if limit and math.ceil(k * _LOG10_PHI) > limit:
+        raise CapacityError(f"F({k}) may have more than {limit} digits, the int-to-str limit")
     a, b = 0, 1
     for _ in range(k):
         a, b = b, a + b

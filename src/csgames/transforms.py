@@ -7,7 +7,6 @@ applying a map outside its class raises DomainError naming the missing role.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from .core import SimpleGame, coalition_members
 from .errors import DomainError, ValidationError
@@ -58,7 +57,8 @@ class Bijection(enum.Enum):
         for b in cls:
             if b.value == name:
                 return b
-        raise ValidationError(f"unknown bijection {name!r}; choose from f,g,h,k,h1,h2")
+        choices = ",".join(b.value for b in cls)
+        raise ValidationError(f"unknown bijection {name!r}; choose from {choices}")
 
 
 def _require(inv: Invariants, role: Role):
@@ -192,57 +192,35 @@ def _h1_inverse(inv: Invariants) -> Invariants:
     return dual_invariants(inv)
 
 
-def _h2_class_members(n: int, t: int, roles: frozenset[Role]) -> tuple[Invariants, ...]:
-    from .enumeration import EnumSpec, enumerate_invariants
+def _h2_leftover(inv: Invariants, inverse: bool) -> Invariants:
+    """h2 on the inputs the column surgery misses, by recursion two classes down.
 
-    spec = EnumSpec(n=n, t=t, require=roles)
-    return tuple(enumerate_invariants(spec))
-
-
-def _h2_literal(inv: Invariants) -> Invariants | None:
-    """Column surgery of the semi-veto-to-null map; None when the result is invalid."""
-    sizes = (inv.n_bar[0],) + inv.n_bar[2:] + (inv.n_bar[1],)
-    rows = tuple((row[0],) + row[2:] + (0,) for row in inv.matrix[:-1])
-    try:
-        return Invariants(sizes, _sorted_rows(rows))
-    except ValidationError:
-        return None
-
-
-@lru_cache(maxsize=64)
-def _h2_tables(n: int, t: int):
-    """Pairing for the inputs the published column surgery cannot handle.
-
-    The all-but-one-strongest row always exists in the domain class, but
-    deleting it and zeroing the second column produces an invalid matrix for
-    some members (their remaining rows never use the rotated last class).
-    Those leftovers are matched, in canonical enumeration order, with the
-    codomain members the surgery never reaches; see the decisions ledger.
+    With n̄ = (n₁, b, n₃, …, m), a leftover's last row is (n₁, b−1, n₃, …, x),
+    x = m forward (the semi-veto row) and x = 0 backward, and every row above
+    it ends in 0.  Merging classes 1 and 2 of those rows and dropping the last
+    class gives a veto game H with n̄_H = (n₁+b, n₃, …): forward H has no null,
+    backward no semi-vetoer, and h2 one level down swaps the rest.
     """
-    domain = _h2_class_members(n, t, frozenset({Role.VETOER, Role.SEMI_VETOER}))
-    codomain = _h2_class_members(n, t, frozenset({Role.VETOER, Role.NULL}))
-    forward: dict[Invariants, Invariants] = {}
-    defective = []
-    hit = set()
-    for inv in domain:
-        image = _h2_literal(inv)
-        if image is not None:
-            forward[inv] = image
-            hit.add(image)
-        else:
-            defective.append(inv)
-    leftover = [inv for inv in codomain if inv not in hit]
-    if len(defective) != len(leftover):
-        raise ValidationError(
-            f"semi-veto/null classes of size {len(domain)}/{len(codomain)} cannot be paired"
-        )
-    for src, dst in zip(defective, leftover):
-        forward[src] = dst
-    backward = {dst: src for src, dst in forward.items()}
-    return forward, backward
+    n1, b = inv.n_bar[:2]
+    m = inv.n_bar[-1]
+    above = inv.matrix[:-1]
+    if inv.t == 3:
+        if inverse:
+            return Invariants((n1, b - 1, m + 1), ((n1, b - 1, 0), (n1, b - 2, m + 1)))
+        return Invariants((n1, b + 1, m - 1), above)
+    merged = tuple((row[0] + row[1],) + row[2:-1] for row in above)
+    h = Invariants((n1 + b,) + inv.n_bar[2:-1], merged)
+    if inverse and role_present_raw(h.n_bar, h.matrix, Role.NULL):
+        h = _h2_inverse(h)
+    elif not inverse and role_present_raw(h.n_bar, h.matrix, Role.SEMI_VETOER):
+        h = _h2_forward(h)
+    rows = tuple((n1, b) + row[1:] + (0,) for row in h.matrix)
+    last = (n1, b - 1) + h.n_bar[1:] + (m if inverse else 0,)
+    return Invariants((n1, b) + h.n_bar[1:] + (m,), rows + (last,))
 
 
 def _h2_forward(inv: Invariants) -> Invariants:
+    """Column surgery: drop the semi-veto row and move class 2 to the back as nulls."""
     _require(inv, Role.VETOER)
     _require(inv, Role.SEMI_VETOER)
     if inv.t < 2:
@@ -252,11 +230,11 @@ def _h2_forward(inv: Invariants) -> Invariants:
         return Invariants(inv.n_bar, ((n1, 0),))
     if inv.r < 2:
         raise DomainError("veto plus semi-veto games with three or more types have r >= 2")
-    image = _h2_literal(inv)
-    if image is not None:
-        return image
-    forward, _ = _h2_tables(inv.n, inv.t)
-    return forward[inv]
+    if all(row[-1] == 0 for row in inv.matrix[:-1]):
+        return _h2_leftover(inv, inverse=False)
+    sizes = (inv.n_bar[0],) + inv.n_bar[2:] + (inv.n_bar[1],)
+    rows = tuple((row[0],) + row[2:] + (0,) for row in inv.matrix[:-1])
+    return Invariants(sizes, _sorted_rows(rows))
 
 
 def _h2_inverse(inv: Invariants) -> Invariants:
@@ -265,20 +243,13 @@ def _h2_inverse(inv: Invariants) -> Invariants:
     if inv.t == 2:
         n1, n2 = inv.n_bar
         return Invariants(inv.n_bar, ((n1, n2 - 1),))
+    if inv.matrix[-1] == (inv.n_bar[0], inv.n_bar[1] - 1) + inv.n_bar[2:-1] + (0,):
+        return _h2_leftover(inv, inverse=True)
     n2 = inv.n_bar[-1]
     sizes = (inv.n_bar[0],) + (n2,) + inv.n_bar[1:-1]
     kept = tuple((row[0], n2) + row[1:-1] for row in inv.matrix)
     last = (sizes[0], n2 - 1) + sizes[2:]
-    try:
-        candidate = Invariants(sizes, _sorted_rows(kept + (last,)))
-    except ValidationError:
-        candidate = None
-    if candidate is not None and _h2_literal(candidate) == inv:
-        return candidate
-    _, backward = _h2_tables(inv.n, inv.t)
-    if inv not in backward:
-        raise DomainError("input is not reachable by the semi-veto-to-null map")
-    return backward[inv]
+    return Invariants(sizes, _sorted_rows(kept + (last,)))
 
 
 _FORWARD = {

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from csgames import refcounts
 from csgames.cli import main
+from csgames.transforms import Bijection
 
 EX2_INV = '{"n_bar":[2,3],"M":[[2,0],[0,3]]}'
 EX1_GAME = '{"n":3,"min_winning":[[1,2],[1,3]]}'
@@ -75,6 +76,8 @@ VALID_DOCUMENTS = [
     json.loads(EX2_INV),
     json.loads(EX1_GAME),
     {"quota": "5/2", "weights": ["2", "1", "1/2", "0"]},
+    # an h2 leftover: the column surgery cannot map it
+    {"n_bar": [1, 2, 2], "M": [[1, 2, 0], [1, 1, 2]]},
 ]
 KEYS = ["n", "min_winning", "n_bar", "M", "quota", "weights"]
 LEAVES = st.one_of(
@@ -121,11 +124,14 @@ def run_isolated(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-CONTRACT_COMMANDS = st.sampled_from(["validate", "expand", "extract", "classify", "dual"])
+CONTRACT_COMMANDS = st.sampled_from(
+    [[command] for command in ["validate", "expand", "extract", "classify", "dual"]]
+    + [["map", "--bijection", b.value, *inverse] for b in Bijection for inverse in ([], ["--inverse"])]
+)
 
 
 def assert_cli_contract(command, document):
-    code, out, err = run_isolated([command, "-"], json.dumps(document))
+    code, out, err = run_isolated([*command, "-"], json.dumps(document))
     if code == 0:
         assert err == ""
     else:
@@ -202,6 +208,15 @@ def test_map_bijections(capsys, monkeypatch):
     code, out, _ = run(capsys, ["map", "--bijection", "h2", "--inverse", "-"],
                        '{"n_bar":[1,2],"M":[[1,0]]}', monkeypatch)
     assert json.loads(out) == {"M": [[1, 1]], "n_bar": [1, 2]}
+
+
+def test_map_h2_leftover_at_large_n(capsys, monkeypatch):
+    # an h2 leftover at n=40: neither direction may depend on the size of its class
+    source = '{"M":[[1,1,0],[1,0,38]],"n_bar":[1,1,38]}'
+    code, out, _ = run(capsys, ["map", "--bijection", "h2", "-"], source, monkeypatch)
+    assert code == 0 and out == '{"M":[[1,1,0]],"n_bar":[1,2,37]}\n'
+    code, back, _ = run(capsys, ["map", "--bijection", "h2", "--inverse", "-"], out, monkeypatch)
+    assert code == 0 and back == source + "\n"
 
 
 def test_map_domain_error(capsys, monkeypatch):
@@ -282,6 +297,27 @@ def test_formula_domain_error(capsys):
     code, out, err = run(capsys, ["formula", "--family", "cgv_t3", "--n", "3"])
     assert code == 1
     assert err.startswith("error:") and "requires n >= 4" in err
+
+
+# F(k) has about k/4.8 digits, past the default int-to-str limit of 4300 from k = 20578
+OVER_DIGIT_LIMIT = {
+    "fib-30000": ("fib", "30000"),
+    "fib-1e8": ("fib", "100000000"),
+    "cg_t2-21000": ("cg_t2", "21000"),
+    "cgvn_t4-1e8": ("cgvn_t4", "100000000"),
+    "cgvn_t3-1e4000": ("cgvn_t3", "1" + "0" * 4000),
+}
+
+
+@pytest.mark.parametrize("family,n", OVER_DIGIT_LIMIT.values(), ids=OVER_DIGIT_LIMIT.keys())
+def test_formula_over_digit_limit_exits_3(capsys, family, n):
+    assert_one_error_line(*run(capsys, ["formula", "--family", family, "--n", n]), exit_code=3)
+
+
+@pytest.mark.parametrize("family,n,digits", [("fib", "20000", 4180), ("cgvn_t3", "100000000", 24)])
+def test_formula_under_digit_limit_prints(capsys, family, n, digits):
+    code, out, _ = run(capsys, ["formula", "--family", family, "--n", n])
+    assert code == 0 and len(out.strip()) == digits
 
 
 def test_usage_error(capsys):

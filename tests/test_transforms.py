@@ -1,13 +1,18 @@
+import os
+
 import pytest
 
 from csgames.checks import BIJECTION_PLAN
 from csgames.core import SimpleGame
+from csgames.enumeration import EnumSpec, enumerate_invariants
 from csgames.errors import DomainError
 from csgames.invariants import expand, extract
 from csgames.roles import Role, present_roles_raw
 from csgames.transforms import Bijection, apply_bijection, dual, dual_invariants
 
 from conftest import inv
+
+STRETCH = os.environ.get("CSGAMES_STRETCH") == "1"
 
 
 def test_dual_of_dictatorship_is_itself():
@@ -94,13 +99,50 @@ def test_h2_t2_family():
         assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, target, inverse=True) == source
 
 
-def test_h2_defective_member_is_paired():
-    # the published column surgery yields an invalid matrix here; the map must
-    # still send it somewhere in the veto-and-null class, reversibly
-    source = inv((1, 2, 2), [[1, 2, 0], [1, 1, 2]])
-    image = apply_bijection(Bijection.SEMI_VETO_TO_NULL, source)
-    assert {Role.VETOER, Role.NULL} <= present_roles_raw(image.n_bar, image.matrix)
-    assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, image, inverse=True) == source
+H2_LEFTOVERS = {
+    "t3": (((1, 2, 2), [[1, 2, 0], [1, 1, 2]]), ((1, 3, 1), [[1, 2, 0]])),
+    "t4-semi-vetoer-below": (
+        ((1, 1, 3, 1), [[1, 1, 1, 0], [1, 0, 3, 1]]),
+        ((1, 1, 3, 1), [[1, 1, 1, 0], [1, 0, 3, 0]]),
+    ),
+    "t4-semi-vetoer-above": (
+        ((1, 2, 2, 1), [[1, 2, 1, 0], [1, 1, 2, 1]]),
+        ((1, 2, 2, 1), [[1, 2, 0, 0], [1, 1, 2, 0]]),
+    ),
+    "t5-recursive": (
+        ((2, 1, 1, 2, 1), [[2, 1, 1, 0, 0], [2, 1, 0, 2, 0], [2, 0, 1, 2, 1]]),
+        ((2, 1, 2, 1, 1), [[2, 1, 1, 0, 0], [2, 0, 2, 1, 0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("source,target", H2_LEFTOVERS.values(), ids=H2_LEFTOVERS.keys())
+def test_h2_defective_member_is_paired(source, target):
+    # the column surgery yields an invalid matrix here; the leftover rule
+    # recurses on the rows above the semi-veto row instead
+    source, target = inv(*source), inv(*target)
+    assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, source) == target
+    assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, target, inverse=True) == source
+
+
+def _assert_h2_bijective(n_values):
+    for n in n_values:
+        for t in range(2, n + 1):
+            domain = list(enumerate_invariants(EnumSpec(n, t, require={Role.VETOER, Role.SEMI_VETOER})))
+            target = set(enumerate_invariants(EnumSpec(n, t, require={Role.VETOER, Role.NULL})))
+            images = {apply_bijection(Bijection.SEMI_VETO_TO_NULL, g): g for g in domain}
+            assert len(images) == len(domain) and set(images) == target, (n, t)
+            for image, g in images.items():
+                assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, image, inverse=True) == g
+
+
+def test_h2_bijective_for_every_t():
+    _assert_h2_bijective(range(2, 9))
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_h2_bijective_for_every_t_stretch():
+    _assert_h2_bijective([9])
 
 
 def _classes(catalog, need):
