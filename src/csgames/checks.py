@@ -46,7 +46,12 @@ def rows1_row(n: int, jobs: int = 1) -> tuple:
 
 
 def dual_involution_row(n: int) -> tuple:
-    """dual(dual(G)) == G for every game on n players."""
+    """dual(dual(G)) == G for every complete game on n players.
+
+    The games are the expansions of the enumerated (n̄, M) pairs, so only
+    complete games are checked.  The ``duality`` suite caps ``--max-n`` at 6
+    without saying so: it runs n = 1..min(max_n, 6).
+    """
     games = [
         expand(Invariants(sizes, matrix))
         for t in range(1, n + 1)

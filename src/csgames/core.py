@@ -48,6 +48,17 @@ def coalition_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# LSB-first bits of a mask with 0 and 1 swapped: a member before a non-member
+# sorts first and a prefix sorts before its extensions, so these strings order
+# masks exactly as their ascending member tuples do
+_MEMBER_ORDER = str.maketrans("01", "10")
+
+
+def _member_order(mask: int) -> str:
+    """Sort key that orders masks as ``coalition_members`` does, without a Python loop."""
+    return bin(mask)[:1:-1].translate(_MEMBER_ORDER)
+
+
 def _as_mask(coalition, n: int) -> int:
     if isinstance(coalition, int):
         if coalition < 0 or coalition >> n:
@@ -80,7 +91,7 @@ class SimpleGame:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_PLAYERS:
             raise ValidationError(f"player count must be in 1..{MAX_PLAYERS}, got {self.n}")
-        masks = tuple(sorted(set(int(m) for m in self.min_winning), key=coalition_members))
+        masks = tuple(sorted(set(map(int, self.min_winning)), key=_member_order))
         if not masks:
             raise ValidationError("a game needs at least one minimal winning coalition")
         for m in masks:

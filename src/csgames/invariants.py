@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import and_, ge, gt, le, lt
 
 from .core import SimpleGame, type_partition, _json_ints
 from .errors import CapacityError, ValidationError
 from .profiles import DeltaTable, Profile, delta_table, prefix_sums
 
 WINNING_SET_CAP = 10**6
+_ZEROS = itertools.repeat(0)  # zeros forever, so every row map below can share it
 
 
 def check_conditions(n_bar, matrix) -> list[str]:
@@ -24,33 +26,44 @@ def check_conditions(n_bar, matrix) -> list[str]:
     Shape problems (ragged matrix, zero classes or rows) are input errors and
     raise immediately instead of being reported as violations.
     """
-    sizes = tuple(int(v) for v in n_bar)
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    return _violations(*_as_ints(n_bar, matrix))
+
+
+def _as_ints(n_bar, matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    return tuple(map(int, n_bar)), tuple(tuple(map(int, row)) for row in matrix)
+
+
+def _violations(sizes: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> list[str]:
+    """``check_conditions`` on class sizes and rows already converted to int tuples."""
     t = len(sizes)
     if t == 0:
         raise ValidationError("at least one equivalence class required")
     if len(rows) == 0:
         raise ValidationError("at least one matrix row required")
-    if any(len(row) != t for row in rows):
+    if set(map(len, rows)) != {t}:
         raise ValidationError("matrix rows must all have one entry per class")
 
     violations = []
-    if any(s <= 0 for s in sizes):
+    if min(sizes) <= 0:
         violations.append("condition1: every class size must be positive")
+    # one pass over the rows: the box bounds, and the boundaries k | k+1 each
+    # row separates (row[k] > 0 and row[k+1] < sizes[k+1])
+    separating = []
     for p, row in enumerate(rows, start=1):
-        if any(v < 0 or v > s for v, s in zip(row, sizes)):
+        if min(row) < 0 or any(map(gt, row, sizes)):
             violations.append(f"condition2: row {p} leaves the profile box")
-    prefixes = [prefix_sums(row) for row in rows]
-    for (p, pa), (q, pb) in itertools.combinations(enumerate(prefixes, start=1), 2):
-        if all(a >= b for a, b in zip(pa, pb)) or all(a <= b for a, b in zip(pa, pb)):
-            violations.append(f"condition3: rows {p} and {q} are delta-comparable")
-    if t > 1:
-        for k in range(t - 1):
-            if not any(row[k] > 0 and row[k + 1] < sizes[k + 1] for row in rows):
-                violations.append(f"condition4: no row separates classes {k + 1} and {k + 2}")
+        separating.append(map(and_, map(gt, row, _ZEROS), map(lt, row[1:], sizes[1:])))
+    prefixes = list(map(prefix_sums, rows))
+    for p, q in itertools.combinations(range(len(rows)), 2):
+        pa, pb = prefixes[p], prefixes[q]
+        if all(map(ge, pa, pb)) or all(map(le, pa, pb)):
+            violations.append(f"condition3: rows {p + 1} and {q + 1} are delta-comparable")
+    for k, separated in enumerate(map(any, zip(*separating)), start=1):
+        if not separated:
+            violations.append(f"condition4: no row separates classes {k} and {k + 1}")
     if rows[0][0] <= 0:
         violations.append("m11: the first row must start with a positive entry")
-    if any(rows[i] <= rows[i + 1] for i in range(len(rows) - 1)):
+    if any(map(le, rows, rows[1:])):
         violations.append("row_order: rows must be strictly decreasing lexicographically")
     return violations
 
@@ -63,9 +76,8 @@ class Invariants:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        sizes = tuple(int(v) for v in self.n_bar)
-        rows = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        violations = check_conditions(sizes, rows)
+        sizes, rows = _as_ints(self.n_bar, self.matrix)
+        violations = _violations(sizes, rows)
         if violations:
             raise ValidationError(
                 "invalid invariants: " + "; ".join(violations), violations=violations

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 
-from .core import SimpleGame, coalition_members
+from .core import SimpleGame
 from .errors import DomainError, ValidationError
 from .invariants import Invariants, _shift_minimal, _winning_bits
 from .roles import Role, role_present_raw
@@ -18,23 +18,30 @@ def dual(game: SimpleGame) -> SimpleGame:
     """The blocking game: a coalition wins iff its complement loses.
 
     Minimal winning coalitions of the dual are the minimal transversals of the
-    original minimal winning family.
+    original minimal winning family, built one edge m at a time (Berge).  The
+    transversals that hit m stay minimal.  A candidate tr | i, with tr missing
+    m and i in m, never contains another candidate, so it is minimal unless it
+    contains a kept transversal k; as k hits m and tr misses it, that happens
+    iff k - tr is exactly {i}.  No sort and no pairwise prune are needed.
     """
     transversals = [0]
     for m in game.min_winning:
-        extended = []
+        kept = [tr for tr in transversals if tr & m]
+        extended = kept.copy()
         for tr in transversals:
             if tr & m:
-                extended.append(tr)
-            else:
-                for i in coalition_members(m):
-                    extended.append(tr | (1 << (i - 1)))
-        extended.sort(key=lambda x: x.bit_count())
-        pruned: list[int] = []
-        for cand in extended:
-            if not any(k & cand == k for k in pruned):
-                pruned.append(cand)
-        transversals = pruned
+                continue
+            blocked = 0
+            for k in kept:
+                outside = k & ~tr
+                if not outside & (outside - 1):
+                    blocked |= outside
+            free = m & ~blocked
+            while free:
+                i = free & -free
+                free ^= i
+                extended.append(tr | i)
+        transversals = extended
     return SimpleGame(game.n, tuple(transversals))
 
 

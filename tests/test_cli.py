@@ -40,6 +40,19 @@ def test_validate_reports_violations(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error:")
     assert "condition3" in err
+    assert (out, err) == ("", "error: invalid invariants: condition3: rows 1 and 2 are delta-comparable\n")
+
+    # every label at once, in the order check_conditions reports them
+    worst = '{"n_bar":[0,2,1],"M":[[0,3,1],[1,2,-1],[0,3,1]]}'
+    code, out, err = run(capsys, ["validate", "-"], worst, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid invariants: condition1: every class size must be positive; "
+        "condition2: row 1 leaves the profile box; condition2: row 2 leaves the profile box; "
+        "condition2: row 3 leaves the profile box; condition3: rows 1 and 3 are delta-comparable; "
+        "condition4: no row separates classes 1 and 2; m11: the first row must start with a positive entry; "
+        "row_order: rows must be strictly decreasing lexicographically\n"
+    )
 
 
 def assert_one_error_line(code, out, err, exit_code=1):

@@ -9,6 +9,8 @@ from csgames.core import (
     Desirability,
     SimpleGame,
     WeightedRepresentation,
+    _member_order,
+    coalition_members,
     desirability,
     from_weighted,
     is_winning,
@@ -49,6 +51,18 @@ def test_game_construction_rejects_bad_input():
 def test_min_winning_canonical_order():
     g = SimpleGame.from_coalitions(3, [[1, 3], [1, 2]])
     assert g.coalitions() == ((1, 2), (1, 3))
+
+
+@st.composite
+def mask_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    return draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_sets())
+def test_member_order_key_sorts_like_member_tuples(masks):
+    assert sorted(masks, key=_member_order) == sorted(masks, key=coalition_members)
 
 
 def test_normalize_min_winning():

@@ -56,6 +56,65 @@ def test_validate_input_errors():
         check_conditions((2,), [])
     with pytest.raises(ValidationError):
         check_conditions((2, 1), [[1]])
+    with pytest.raises(ValidationError):
+        check_conditions((), [[1]])
+    with pytest.raises(ValidationError):
+        check_conditions((2, 1), [[1, 0], [1]])
+    with pytest.raises(ValidationError):
+        check_conditions((2, 1), [[1, 0, 0]])
+
+
+def conditions_oracle(n_bar, matrix) -> list[str]:
+    """The validity conditions read straight off their definitions, in label order."""
+    t, r = len(n_bar), len(matrix)
+    labels = []
+    if any(s <= 0 for s in n_bar):
+        labels.append("condition1: every class size must be positive")
+    for p in range(r):
+        if any(not 0 <= matrix[p][k] <= n_bar[k] for k in range(t)):
+            labels.append(f"condition2: row {p + 1} leaves the profile box")
+    prefix = [[sum(row[:k + 1]) for k in range(t)] for row in matrix]
+    for p in range(r):
+        for q in range(p + 1, r):
+            ge = all(prefix[p][k] >= prefix[q][k] for k in range(t))
+            le = all(prefix[p][k] <= prefix[q][k] for k in range(t))
+            if ge or le:
+                labels.append(f"condition3: rows {p + 1} and {q + 1} are delta-comparable")
+    for k in range(t - 1):
+        if not any(row[k] > 0 and row[k + 1] < n_bar[k + 1] for row in matrix):
+            labels.append(f"condition4: no row separates classes {k + 1} and {k + 2}")
+    if matrix[0][0] <= 0:
+        labels.append("m11: the first row must start with a positive entry")
+    if any(list(matrix[p]) <= list(matrix[p + 1]) for p in range(r - 1)):
+        labels.append("row_order: rows must be strictly decreasing lexicographically")
+    return labels
+
+
+@st.composite
+def perturbed_invariants(draw):
+    """A valid (n_bar, M) pair with n <= 6, then a few shuffles, duplicates and bad entries."""
+    sizes, matrix = draw(st.sampled_from([(c.n_bar, c.matrix) for c in _sample_pool()]))
+    sizes, matrix = list(sizes), [list(row) for row in matrix]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        action = draw(st.sampled_from(["shuffle", "duplicate", "entry", "size"]))
+        if action == "shuffle":
+            matrix = draw(st.permutations(matrix))
+        elif action == "duplicate":
+            matrix.insert(draw(st.integers(0, len(matrix))), list(draw(st.sampled_from(matrix))))
+        elif action == "entry":
+            row = draw(st.sampled_from(matrix))
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] = draw(st.sampled_from([-1, sizes[k] + 1, draw(st.integers(-3, 9))]))
+        else:
+            sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(-2, 0))
+    return sizes, matrix
+
+
+@settings(max_examples=500, deadline=None)
+@given(perturbed_invariants())
+def test_condition_labels_match_the_definitions(pair):
+    sizes, matrix = pair
+    assert check_conditions(sizes, matrix) == conditions_oracle(sizes, matrix)
 
 
 def test_row_order_enforced():

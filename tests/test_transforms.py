@@ -1,9 +1,11 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames.checks import BIJECTION_PLAN
-from csgames.core import SimpleGame
+from csgames.core import SimpleGame, is_winning
 from csgames.enumeration import EnumSpec, enumerate_invariants
 from csgames.errors import DomainError
 from csgames.invariants import expand, extract
@@ -31,6 +33,26 @@ def test_dual_involution_small(small_catalog):
         for candidate in games:
             game = expand(candidate)
             assert dual(dual(game)) == game
+
+
+@st.composite
+def antichain_games(draw):
+    """Any game on n <= 8 players, complete or not: the minimal sets of a random family."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    family = set(draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=12)))
+    return SimpleGame(n, tuple(m for m in family if not any(k != m and k & m == k for k in family)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(antichain_games())
+def test_dual_is_the_minimal_blocking_coalitions(game):
+    full = (1 << game.n) - 1
+    # the coalitions whose complement loses; they are closed upward, so one is
+    # inclusion-minimal iff dropping any single member leaves the set
+    blocking = {s for s in range(1 << game.n) if not is_winning(game, full ^ s)}
+    minimal = {s for s in blocking if all(s & ~(1 << i) not in blocking for i in range(game.n) if s >> i & 1)}
+    assert set(dual(game).min_winning) == minimal
+    assert dual(dual(game)) == game
 
 
 def test_dual_invariants_matches_extensional_route(small_catalog):
