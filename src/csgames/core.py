@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
@@ -213,8 +213,9 @@ def desirability(game: SimpleGame, i: int, j: int) -> Desirability:
 class TypePartition:
     """Equivalence classes of equally desirable players, strongest first.
 
-    Within a class players keep ascending index order; class order is fixed by
-    the strict desirability between representatives.
+    Classes are the runs of equal winning counts (the number of winning
+    coalitions that contain a player), highest count first; within a class
+    players keep ascending index order.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -227,52 +228,29 @@ class TypePartition:
     def n(self) -> int:
         return sum(len(c) for c in self.classes)
 
-    def class_of(self, player: int) -> int:
-        for k, members in enumerate(self.classes):
-            if player in members:
-                return k
-        raise ValidationError(f"player {player} not in partition")
-
 
 def type_partition(game: SimpleGame) -> TypePartition:
     """Partition players by equal desirability; raises NotCompleteError if not total."""
     n = game.n
     f = _winning_table(game)
-    geq = [[True] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a = _at_least_as_desirable(f, n, i, j)
-            b = _at_least_as_desirable(f, n, j, i)
-            if not (a or b):
-                raise NotCompleteError(
-                    f"players {i} and {j} are incomparable", pair=(i, j)
-                )
-            geq[i][j] = a
-            geq[j][i] = b
-    classes: list[list[int]] = []
-    for i in range(1, n + 1):
-        for members in classes:
-            rep = members[0]
-            if geq[i][rep] and geq[rep][i]:
-                members.append(i)
-                break
-        else:
-            classes.append([i])
-    # strongest class first; representatives are strictly ordered
-    classes.sort(key=_class_sort_key(geq))
-    return TypePartition(tuple(tuple(m) for m in classes))
-
-
-def _class_sort_key(geq):
-    def cmp(a, b):
-        i, j = a[0], b[0]
-        if geq[i][j] and not geq[j][i]:
-            return -1
-        if geq[j][i] and not geq[i][j]:
-            return 1
-        return 0
-
-    return cmp_to_key(cmp)
+    wins = [(f & ~_absent_mask(n, p)).bit_count() for p in range(n)]
+    order = sorted(range(1, n + 1), key=lambda i: -wins[i - 1])
+    # If i >= j, the swap S+{j} -> S+{i} maps the winning coalitions with j but
+    # not i into those with i but not j, so i is in at least as many winning
+    # coalitions as j, and in more iff i > j.  Once each player here is >= the
+    # next, desirability is total by transitivity and its classes are the runs
+    # of equal count.
+    if all(_at_least_as_desirable(f, n, i, j) for i, j in zip(order, order[1:])):
+        return TypePartition(
+            tuple(tuple(run) for _, run in itertools.groupby(order, key=lambda i: wins[i - 1]))
+        )
+    # a failed neighbour check proves an incomparable pair; name the first one
+    i, j = next(
+        (i, j)
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+        if not (_at_least_as_desirable(f, n, i, j) or _at_least_as_desirable(f, n, j, i))
+    )
+    raise NotCompleteError(f"players {i} and {j} are incomparable", pair=(i, j))
 
 
 @dataclass(frozen=True)

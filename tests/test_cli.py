@@ -206,6 +206,13 @@ def test_classify_game_and_invariants(capsys, monkeypatch):
     assert data["per_class"] == {"1": [], "2": []}
 
 
+@pytest.mark.parametrize("command", ["extract", "classify"])
+def test_not_complete_game_names_first_incomparable_pair(capsys, monkeypatch, command):
+    crossed = '{"n":4,"min_winning":[[1,2],[3,4]]}'
+    code, out, err = run(capsys, [command, "-"], crossed, monkeypatch)
+    assert (code, out, err) == (1, "", "error: players 1 and 3 are incomparable\n")
+
+
 def test_classify_weighted_input(capsys, monkeypatch):
     weighted = '{"quota":"12","weights":["4","4","4","2","2","1"]}'
     code, out, _ = run(capsys, ["classify", "-"], weighted, monkeypatch)

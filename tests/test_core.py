@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from csgames.core import (
     normalize_min_winning,
     type_partition,
 )
+from csgames.enumeration import EnumSpec, enumerate_invariants
 from csgames.errors import NotCompleteError, ValidationError
+from csgames.invariants import expand
 
 EX1 = SimpleGame.from_coalitions(3, [[1, 2], [1, 3]])
 USSR = SimpleGame.from_coalitions(3, [[1, 2], [1, 3], [2, 3]])
@@ -143,7 +146,7 @@ def test_game_json_round_trip():
 
 @st.composite
 def small_games(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
     subsets = list(range(1, 1 << n))
     picks = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=5))
     minimal = []
@@ -178,6 +181,70 @@ def test_equal_desirability_is_equivalence(game):
         for k in range(1, n + 1):
             if k not in (i, j) and (j, k) in equal:
                 assert (i, k) in equal
+
+
+def reference_partition(game):
+    """Classes from all n(n-1) desirability calls, or the first incomparable pair."""
+    n = game.n
+    rel = {
+        (i, j): desirability(game, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    }
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if rel[i, j] is Desirability.INCOMPARABLE:
+            return (i, j), f"players {i} and {j} are incomparable"
+    classes = []
+    for i in range(1, n + 1):
+        for members in classes:
+            if rel[members[0], i] is Desirability.EQUALLY_DESIRABLE:
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    # strongest first: a class ranks by the number of classes above it
+    ranked = sorted(
+        classes,
+        key=lambda c: sum(rel[d[0], c[0]] is Desirability.MORE_DESIRABLE for d in classes if d is not c),
+    )
+    return tuple(tuple(c) for c in ranked)
+
+
+def partition_or_error(game):
+    try:
+        return type_partition(game).classes
+    except NotCompleteError as err:
+        return err.pair, str(err)
+
+
+@lru_cache(maxsize=None)
+def stream8(t):
+    return tuple(enumerate_invariants(EnumSpec(n=8, t=t)))
+
+
+@st.composite
+def relabelled_stream_games(draw):
+    """An expanded (8, t<=4) stream game with its players randomly relabelled."""
+    t = draw(st.integers(min_value=1, max_value=4))
+    game = expand(draw(st.sampled_from(stream8(t))))
+    perm = draw(st.permutations(range(8)))
+    return SimpleGame(
+        8,
+        tuple(sum(1 << perm[p] for p in range(8) if m >> p & 1) for m in game.min_winning),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_stream_games())
+def test_type_partition_matches_pairwise_reference_on_complete_games(game):
+    assert partition_or_error(game) == reference_partition(game)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_games())
+def test_type_partition_matches_pairwise_reference(game):
+    assert partition_or_error(game) == reference_partition(game)
 
 
 @given(
