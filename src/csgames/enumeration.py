@@ -12,6 +12,7 @@ Unfiltered counts skip the search: a memoized recurrence counts the antichains.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -163,21 +164,24 @@ _roles = lru_cache(maxsize=1024)(_Roles)
 _keep = lru_cache(maxsize=1024)(_Keep)
 
 
-class _RoleTable(NamedTuple):
-    bits: tuple[int, ...]  # per candidate row: separation bits | role bits
-    one_row: int
-    vetoer_rows: int  # rows whose first entry is n_1
-    null_rows: int  # rows whose last entry is 0
-
-
 @lru_cache(maxsize=1024)
-def _role_table(sizes: tuple[int, ...]) -> _RoleTable:
-    prep = _prepare(sizes)
+def _row_bits(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Per candidate row: its separation bits | its role bits."""
     roles = _roles(sizes)
+    prep = _prepare(sizes)
+    return tuple(s | roles.row_bits(row) for s, row in zip(prep.sat, prep.rows))
+
+
+def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
+    """The candidate rows a game with the required roles may use: a vetoer is
+    present iff every row has r_1 = n_1, and a null iff every row ends in 0."""
     delta = delta_table(sizes)
-    bits = tuple(s | roles.row_bits(row) for s, row in zip(prep.sat, prep.rows))
-    return _RoleTable(bits, roles.one_row, delta.class_at_least(0, sizes[0]),
-                      delta.full ^ delta.class_at_least(len(sizes) - 1, 1))
+    mask = delta.full
+    if Role.VETOER in require:
+        mask &= delta.class_at_least(0, sizes[0])
+    if Role.NULL in require:
+        mask &= ~delta.class_at_least(len(sizes) - 1, 1)
+    return mask
 
 
 @lru_cache(maxsize=1)
@@ -226,51 +230,6 @@ def _count_by_antichains(sizes: tuple[int, ...]) -> int:
     return sum(sign * (count(every & ~rows) - count(zero_first & ~rows)) for sign, rows in terms)
 
 
-def _matrices_from_start(prep: _Prep, table: _RoleTable, start: int, row_limit: int | None,
-                         mask: int, keep):
-    """(matrix, key) pairs from one first row, for the keys that ``keep`` accepts.
-
-    A key ORs ``table.bits`` over the matrix's rows, so a node still costs one
-    OR; a lone-row matrix also carries the one-row flag.  Only rows in
-    ``mask`` follow the first.
-    """
-    rows = prep.rows
-    bits = table.bits
-    inc = prep.incomp_after
-    suf = prep.suffix_sat
-    full = prep.full
-    chosen = [start]
-
-    def rec(allowed: int, s: int, depth: int):
-        a = allowed
-        while a:
-            low = a & -a
-            k = low.bit_length() - 1
-            a ^= low
-            s2 = s | bits[k]
-            d2 = depth + 1
-            chosen.append(k)
-            if s2 & full == full and (row_limit is None or d2 == row_limit) and keep[s2]:
-                yield tuple(rows[c] for c in chosen), s2
-            if row_limit is None or d2 < row_limit:
-                child = allowed & inc[k]
-                if child:
-                    lo = (child & -child).bit_length() - 1
-                    if not (full & ~s2) & ~suf[lo]:
-                        yield from rec(child, s2, d2)
-            chosen.pop()
-
-    s0 = bits[start]
-    if s0 & full == full and (row_limit is None or row_limit == 1) and keep[s0 | table.one_row]:
-        yield (rows[start],), s0 | table.one_row
-    if row_limit is None or row_limit > 1:
-        child = inc[start] & mask
-        if child:
-            lo = (child & -child).bit_length() - 1
-            if not (full & ~s0) & ~suf[lo]:
-                yield from rec(child, s0, 1)
-
-
 def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
     """Single-row matrices in decreasing lex order, skipping ``_prepare``'s box² table.
 
@@ -290,9 +249,10 @@ def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
 def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
     """(matrix, key) pairs of one composition that pass the spec's role filters.
 
-    ``_roles(sizes)[key]`` is the matrix's present-role set.  A required
-    vetoer (every row has r_1 = n_1) or null (every row ends in 0) is a
-    condition on each row, so it masks the rows the search may use.
+    ``_roles(sizes)[key]`` is the matrix's present-role set.  A key ORs
+    ``_row_bits`` over the matrix's rows, so a search node costs one OR; a
+    lone-row matrix also carries the one-row flag.  The search uses only the
+    rows in ``_required_rows``, and its first row starts positive.
     With rows=1 the role tables are built only for a composition that has a
     lone row, and only when filtered; unfiltered, it yields None keys.
     """
@@ -307,25 +267,51 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
                 yield matrix, key
         return
     prep = _prepare(sizes)
+    rows, inc, suf, full = prep.rows, prep.incomp_after, prep.suffix_sat, prep.full
+    starts = (1 << prep.first_count) - 1
+    bits = _row_bits(sizes)
+    one_row = _roles(sizes).one_row
     keep = _keep(sizes, spec.require, spec.forbid)
-    table = _role_table(sizes)
-    mask = -1
-    if Role.VETOER in spec.require:
-        mask &= table.vetoer_rows
-    if Role.NULL in spec.require:
-        mask &= table.null_rows
-    for start in range(prep.first_count):
-        if mask >> start & 1:
-            yield from _matrices_from_start(prep, table, start, spec.rows, mask, keep)
+    row_limit = spec.rows
+    chosen = []
+
+    def rec(allowed: int, s: int, depth: int):
+        a = allowed if depth else allowed & starts
+        while a:
+            low = a & -a
+            k = low.bit_length() - 1
+            a ^= low
+            s2 = s | bits[k]
+            d2 = depth + 1
+            chosen.append(k)
+            key = s2 if depth else s2 | one_row
+            if s2 & full == full and (row_limit is None or d2 == row_limit) and keep[key]:
+                yield tuple(rows[c] for c in chosen), key
+            if row_limit is None or d2 < row_limit:
+                child = allowed & inc[k]
+                if child:
+                    lo = (child & -child).bit_length() - 1
+                    if not (full & ~s2) & ~suf[lo]:
+                        yield from rec(child, s2, d2)
+            chosen.pop()
+
+    yield from rec(_required_rows(sizes, spec.require), 0, 0)
 
 
 def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
-    """fn(spec, sizes) for every composition, in stream order; jobs > 1 runs them in worker processes."""
+    """fn(spec, sizes) for every composition, in stream order.
+
+    jobs > 1 runs them in min(jobs, compositions, CPUs) worker processes (a fork
+    pool starts them all at its first submit), or in this process if that is 1.
+    """
     work = partial(fn, spec)
+    shards = compositions(spec.n, spec.t)
+    if jobs > 1:
+        shards = list(shards)
+        jobs = min(jobs, len(shards), os.cpu_count() or 1)
     if jobs <= 1:
-        yield from map(work, compositions(spec.n, spec.t))
+        yield from map(work, shards)
         return
-    shards = list(compositions(spec.n, spec.t))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(work, shards, chunksize=max(1, len(shards) // (jobs * 8)))
 
@@ -369,9 +355,9 @@ def count_games(spec: EnumSpec, jobs: int = 1) -> int:
 
 
 def count_by_rows(n: int, t_max: int | None = None) -> dict[tuple[int, int], int]:
-    """Exact counts for each (t, r) cell; practical for small n only."""
+    """Exact counts for each (t, r) cell with t <= t_max (default n); practical for small n only."""
     table: dict[tuple[int, int], int] = {}
-    for t in range(1, (t_max or n) + 1):
+    for t in range(1, (n if t_max is None else min(t_max, n)) + 1):
         for comp, matrix in raw_pairs(EnumSpec(n=n, t=t)):
             key = (t, len(matrix))
             table[key] = table.get(key, 0) + 1

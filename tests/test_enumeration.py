@@ -8,7 +8,7 @@ from csgames.enumeration import (
     EnumSpec,
     _count_by_antichains,
     _prepare,
-    _role_table,
+    _required_rows,
     _shard_matrices,
     _single_rows,
     catalog_with_roles,
@@ -50,7 +50,10 @@ def test_prepare_matches_pairwise_reference():
         for t in range(1, n + 1):
             for sizes in compositions(n, t):
                 prep = _prepare(sizes)
-                table = _role_table(sizes)
+                vetoer_rows = _required_rows(sizes, {Role.VETOER})
+                null_rows = _required_rows(sizes, {Role.NULL})
+                assert _required_rows(sizes, {Role.VETOER, Role.NULL}) == vetoer_rows & null_rows
+                assert _required_rows(sizes, {Role.PASSER}) == (1 << len(prep.rows)) - 1
                 rows = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
                 assert list(prep.rows) == rows
                 prefixes = [tuple(itertools.accumulate(row)) for row in rows]
@@ -61,8 +64,8 @@ def test_prepare_matches_pairwise_reference():
                     assert prep.incomp_after[i] == sum(1 << j for j in later), (sizes, row)
                     separates = [k for k in range(t - 1) if row[k] > 0 and row[k + 1] < sizes[k + 1]]
                     assert prep.sat[i] == sum(1 << k for k in separates), (sizes, row)
-                    assert table.vetoer_rows >> i & 1 == (row[0] == sizes[0])
-                    assert table.null_rows >> i & 1 == (row[-1] == 0)
+                    assert vetoer_rows >> i & 1 == (row[0] == sizes[0])
+                    assert null_rows >> i & 1 == (row[-1] == 0)
 
 
 def test_catalog_n3_t2_exact():
@@ -198,7 +201,7 @@ def test_role_filters_match_per_matrix_predicates():
         for t in range(1, n + 1):
             stream = list(raw_pairs(EnumSpec(n=n, t=t)))
             for kw in FILTERS:
-                for rows in (None, 1):
+                for rows in (None, 1, 2):
                     spec = EnumSpec(n=n, t=t, rows=rows, **kw)
                     expected = [
                         (sizes, matrix) for sizes, matrix in stream
@@ -232,14 +235,18 @@ def test_filtered_reference_tables_stretch():
 
 
 def test_unfiltered_reference_tables():
-    for n in range(10, 16):
+    for n in range(10, 18):
         assert reference_row(n, 3, CG_T3[n])[-1], n
     assert reference_row(11, 4, CG_LARGE[(11, 4)])[-1]
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_unfiltered_reference_tables_stretch():
-    assert reference_row(12, 4, CG_LARGE[(12, 4)])[-1]
+    # with the tier-1 test, every count in refcounts.CG_T3 and CG_LARGE (about five minutes)
+    for n in range(18, 22):
+        assert reference_row(n, 3, CG_T3[n])[-1], n
+    for n, t in [(12, 4), (13, 4), (10, 5), (11, 5), (10, 6)]:
+        assert reference_row(n, t, CG_LARGE[(n, t)])[-1], (n, t)
 
 
 def test_count_matches_formula_t2():
@@ -271,6 +278,42 @@ def test_count_by_rows_table():
     assert count_by_rows(1) == {(1, 1): 1}
     n4 = count_by_rows(4)
     assert sum(v for (t, r), v in n4.items() if r == 1) == 15
+    # t runs over 1 .. min(t_max, n)
+    assert count_by_rows(4, t_max=0) == {}
+    assert count_by_rows(4, t_max=2) == {k: v for k, v in n4.items() if k[0] <= 2}
+    assert count_by_rows(4, t_max=9) == n4
+
+
+def test_jobs_capped_by_compositions_and_cpus(monkeypatch):
+    # a fork pool starts every worker at its first submit, so the cap must come first
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+    spec = EnumSpec(n=5, t=2)  # 4 compositions
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    assert count_games(spec, jobs=100_000) == count_games(spec)
+    assert count_games(EnumSpec(n=5, t=3), jobs=2) == count_games(EnumSpec(n=5, t=3))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    assert count_games(spec, jobs=100_000) == count_games(spec)
+    assert pools == [3, 2, 4]
+    # one composition, or an unknown CPU count, runs in this process
+    assert count_games(EnumSpec(n=5, t=1), jobs=100_000) == 5
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert count_games(spec, jobs=100_000) == count_games(spec)
+    assert pools == [3, 2, 4]
 
 
 def test_row_identity():
