@@ -132,7 +132,7 @@ def _sequences(max_n: int, jobs: int) -> Iterator[tuple]:
         if n <= max_n:
             yield reference_row(n, 3, expected, jobs)
     for (n, t), expected in sorted(refcounts.CG_LARGE.items()):
-        if n <= max_n and t <= 4:
+        if n <= max_n:
             yield reference_row(n, t, expected, jobs)
 
 

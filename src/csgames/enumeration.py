@@ -6,7 +6,9 @@ the delta order, so every valid (n_bar, M) pair is produced exactly once and
 already in canonical form.  Candidate rows, their pairwise comparabilities and
 their separation bits are precomputed per box as bitmasks.  Role filters ride
 in the search's accumulator as per-row win bits, decided at a leaf by a memo.
-Unfiltered counts skip the search: a memoized recurrence counts the antichains.
+Unfiltered counts, and counts that require only a vetoer and/or a null, skip
+the search: a memoized one-sum recurrence over each antichain's lex-largest
+row counts the antichains of the allowed rows.
 """
 
 from __future__ import annotations
@@ -188,40 +190,49 @@ def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
 def _antichain_counter(sizes: tuple[int, ...]):
     """A(q): the antichains, the empty one too, among the rows in mask q.
 
-    Rows run in decreasing lex order, so the lowest bit x of q is a maximal row
-    of q: A(q) = A(q − x) + A(q ∩ incomp_after[x]).  One composition's memo.
+    ``incomp_after[x]`` holds only rows after x, so a nonempty antichain of q
+    has one lex-largest row x and its other rows form an antichain of
+    q ∩ incomp_after[x]: A(q) = 1 + Σ_{x ∈ q} A(q ∩ incomp_after[x]).  The memo
+    keeps only the row sets the sum reaches.  One composition's memo.
     """
     inc = _prepare(sizes).incomp_after
     memo = {0: 1}
 
     def count(q: int) -> int:
-        stack = [q]  # explicit: the recursion gets as deep as the box
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            rest, inner = top & (top - 1), top & inc[(top & -top).bit_length() - 1]
-            if rest in memo and inner in memo:
-                memo[top] = memo[rest] + memo[inner]
-                stack.pop()
+        if q in memo:
+            return memo[q]
+        # explicit: the recursion gets as deep as the longest antichain
+        stack = [(q, q, 1)]  # (row set, its rows still to add, running total)
+        while True:
+            top, todo, total = stack.pop()
+            while todo:
+                low = todo & -todo
+                inner = top & inc[low.bit_length() - 1]
+                if inner not in memo:  # resume here once inner is counted
+                    stack += ((top, todo, total), (inner, inner, 1))
+                    break
+                total += memo[inner]
+                todo ^= low
             else:
-                stack += (rest, inner)
-        return memo[q]
+                memo[top] = total
+                if not stack:
+                    return total
 
     return count
 
 
-def _count_by_antichains(sizes: tuple[int, ...]) -> int:
-    """Unfiltered games of one composition, counted without building them.
+def _count_by_antichains(sizes: tuple[int, ...], require: frozenset = frozenset()) -> int:
+    """Games of one composition, unfiltered or with a required vetoer and/or
+    null, counted without building them.
 
     A game is a nonempty antichain whose lex-largest row starts positive and
-    that separates every boundary.  Inclusion-exclusion runs over the sets S
-    of boundaries, each term counting the antichains whose rows separate no
+    that separates every boundary; with a required vetoer or null its rows lie
+    in ``_required_rows``.  Inclusion-exclusion runs over the sets S of
+    boundaries, each term counting the antichains whose rows separate no
     boundary in S, less those whose rows all start with 0.
     """
     prep = _prepare(sizes)
-    every = (1 << len(prep.rows)) - 1
+    every = _required_rows(sizes, require)
     zero_first = every >> prep.first_count << prep.first_count
     terms = [(1, 0)]  # (sign, rows separating some boundary of S)
     for _, separating in delta_table(sizes).delta_steps[:-1]:
@@ -317,8 +328,9 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
 
 
 def _count_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
-    if spec.rows is None and not spec.filtered:
-        return _count_by_antichains(sizes)
+    # ``_required_rows`` decides a vetoer and a null exactly, so they count on its mask
+    if spec.rows is None and not spec.forbid and spec.require <= {Role.VETOER, Role.NULL}:
+        return _count_by_antichains(sizes, spec.require)
     return sum(1 for _ in _shard_matrices(spec, sizes))
 
 

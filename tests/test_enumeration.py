@@ -1,11 +1,15 @@
 import itertools
 import os
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames import enumeration, roles
 from csgames.enumeration import (
     EnumSpec,
+    _antichain_counter,
     _count_by_antichains,
     _prepare,
     _required_rows,
@@ -21,7 +25,7 @@ from csgames.enumeration import (
 from csgames.errors import ValidationError
 from csgames.formulas import Family, evaluate
 from csgames.oracle import ORACLE_MAX_PLAYERS, oracle_count
-from csgames.checks import reference_row
+from csgames.checks import formula_row, reference_row
 from csgames.refcounts import CG_LARGE, CG_T3, CGV_T3, CGVN_T4
 from csgames.roles import Role, present_roles_raw, role_present_raw
 
@@ -93,23 +97,26 @@ def test_veto_filter_n3():
     assert count_games(EnumSpec(n=3, t=2, require=frozenset({Role.VETOER}))) == 3
 
 
-def _assert_count_equals_stream_length(cells):
+def _assert_count_equals_stream_length(specs):
     # the antichain counter against the one search, at one and two workers
-    for n, t in cells:
-        spec = EnumSpec(n=n, t=t)
+    for spec in specs:
         streamed = sum(1 for _ in raw_pairs(spec))
-        assert count_games(spec) == count_games(spec, jobs=2) == streamed, (n, t)
+        assert count_games(spec) == count_games(spec, jobs=2) == streamed, spec
 
 
 def test_count_equals_stream_length():
     # n=8 at t=7 and t=8 streams 14 million games; see the stretch test
     _assert_count_equals_stream_length(
-        (n, t) for n in range(1, 9) for t in range(1, n + 1) if n < 8 or t < 7)
+        EnumSpec(n=n, t=t) for n in range(1, 9) for t in range(1, n + 1) if n < 8 or t < 7)
+    # a required vetoer and/or null is counted on its row mask
+    _assert_count_equals_stream_length(
+        EnumSpec(n=n, t=t, require=require) for n in range(1, 9) for t in range(1, n + 1)
+        for require in ({Role.VETOER}, {Role.NULL}, {Role.VETOER, Role.NULL}))
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_count_equals_stream_length_stretch():
-    _assert_count_equals_stream_length([(8, 7), (8, 8)])
+    _assert_count_equals_stream_length([EnumSpec(n=8, t=7), EnumSpec(n=8, t=8)])
 
 
 def test_count_by_antichains_per_composition():
@@ -118,6 +125,42 @@ def test_count_by_antichains_per_composition():
             spec = EnumSpec(n=n, t=t)
             for sizes in compositions(n, t):
                 assert _count_by_antichains(sizes) == sum(1 for _ in _shard_matrices(spec, sizes)), sizes
+
+
+@st.composite
+def counter_queries(draw):
+    # a composition whose box holds at most 16 rows, and row masks over that box
+    sizes, budget = [], 16
+    for _ in range(draw(st.integers(1, 4))):
+        if budget < 2:
+            break
+        sizes.append(draw(st.integers(1, budget - 1)))
+        budget //= sizes[-1] + 1
+    box = prod(s + 1 for s in sizes)
+    masks = st.lists(st.booleans(), min_size=box, max_size=box).map(
+        lambda bits: sum(bit << i for i, bit in enumerate(bits)))
+    return tuple(sizes), draw(st.lists(masks, min_size=1, max_size=4))
+
+
+def _antichains_brute_force(sizes, q):
+    # every subset of the rows in q whose rows are pairwise incomparable in the delta order
+    rows = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
+    prefixes = [tuple(itertools.accumulate(rows[i])) for i in range(len(rows)) if q >> i & 1]
+    comparable = [[all(x >= y for x, y in zip(a, b)) or all(y >= x for x, y in zip(a, b))
+                   for b in prefixes] for a in prefixes]
+    return sum(
+        all(not comparable[a][b] for a, b in itertools.combinations(subset, 2))
+        for k in range(len(prefixes) + 1)
+        for subset in itertools.combinations(range(len(prefixes)), k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counter_queries())
+def test_antichain_counter_matches_brute_force(query):
+    sizes, masks = query
+    count = _antichain_counter(sizes)
+    for q in masks:
+        assert count(q) == _antichains_brute_force(sizes, q), (sizes, q)
 
 
 def _single_rows_reference(sizes):
@@ -223,8 +266,11 @@ def test_filtered_reference_tables():
     vetoer, vetoer_null = frozenset({Role.VETOER}), frozenset({Role.VETOER, Role.NULL})
     for n in range(10, 14):
         assert count_games(EnumSpec(n=n, t=3, require=vetoer)) == CGV_T3[n]
-    for n in (10, 11):
+    for n in range(10, 15):
         assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
+    # past the reference table, the closed form is the second method
+    for n in range(14, 23):
+        assert formula_row(Family.CGV_T3, n, 3, vetoer)[-1], n
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
@@ -232,6 +278,8 @@ def test_filtered_reference_tables_stretch():
     vetoer_null = frozenset({Role.VETOER, Role.NULL})
     for n in (12, 13, 14):
         assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
+    for n in range(23, 31):
+        assert formula_row(Family.CGV_T3, n, 3, {Role.VETOER})[-1], n
 
 
 def test_unfiltered_reference_tables():
