@@ -15,7 +15,7 @@ from .formulas import Family
 from .invariants import Invariants, expand
 from .oracle import ORACLE_MAX_PLAYERS, oracle_count
 from .roles import Role
-from .transforms import Bijection, apply_bijection, dual
+from .transforms import DOMAINS, Bijection, apply_bijection, dual
 
 
 def formula_row(family: Family, n: int, t: int, require=(), jobs: int = 1) -> tuple:
@@ -60,17 +60,16 @@ def dual_involution_row(n: int) -> tuple:
     return n, "dual_involution", len(games), all(dual(dual(g)) == g for g in games)
 
 
+def _plan_entry(bijection: Bijection) -> tuple:
+    need, want, min_t = DOMAINS[bijection][:3]
+    if bijection is Bijection.DUAL_SWAP:
+        # h1 is checked on the null classes: duality maps vetoer+null onto passer+null
+        need, want, min_t = need + (Role.NULL,), want + (Role.NULL,), 2
+    return bijection, frozenset(need), frozenset(want), min_t
+
+
 # name -> (bijection, roles of its domain class, roles of its target class, least t)
-BIJECTION_PLAN = {
-    "f": (Bijection.VETO_TO_NULL, frozenset({Role.VETOER}), frozenset({Role.NULL}), 2),
-    "g": (Bijection.PASSER_TO_NULL, frozenset({Role.PASSER}), frozenset({Role.NULL}), 2),
-    "h": (Bijection.VETO_TO_SEMI_VETO, frozenset({Role.VETOER}), frozenset({Role.SEMI_VETOER}), 1),
-    "k": (Bijection.PASSER_TO_SEMI_PASSER, frozenset({Role.PASSER}), frozenset({Role.SEMI_PASSER}), 1),
-    "h1": (Bijection.DUAL_SWAP, frozenset({Role.VETOER, Role.NULL}),
-           frozenset({Role.PASSER, Role.NULL}), 2),
-    "h2": (Bijection.SEMI_VETO_TO_NULL, frozenset({Role.VETOER, Role.SEMI_VETOER}),
-           frozenset({Role.VETOER, Role.NULL}), 2),
-}
+BIJECTION_PLAN = {b.value: _plan_entry(b) for b in Bijection}
 
 
 def bijection_rows(plan: dict, catalog, n: int, t: int) -> Iterator[tuple]:

@@ -179,10 +179,14 @@ def golden_ratio_gap(
         raise DomainError(
             "no documented limit ratio for this family pair"
         ) from None
-    num = evaluate(numerator, n)
     den = evaluate(denominator, n)
     if den == 0:
         raise DomainError(f"{denominator.value} vanishes at n={n}")
+    return _enclosed_gap(evaluate(numerator, n), den, power)
+
+
+def _enclosed_gap(num: int, den: int, power: int) -> tuple[Fraction, Fraction]:
+    """Exact enclosure of |num/den - phi**power| for power 1 or 2 and den > 0."""
     ratio = Fraction(num, den)
     lo, hi = phi_bounds()
     if power == 2:

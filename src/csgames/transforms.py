@@ -1,12 +1,14 @@
 """Duality and the bijections between distinguished-voter classes.
 
-All bijections act on invariants only.  Domain membership is checked strictly:
+All bijections act on invariants only.  ``DOMAINS`` declares each map's domain
+and image roles once, and ``apply_bijection`` checks them for both directions:
 applying a map outside its class raises DomainError naming the missing role.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import partial
 
 from .core import SimpleGame
 from .errors import DomainError, ValidationError
@@ -68,11 +70,6 @@ class Bijection(enum.Enum):
         raise ValidationError(f"unknown bijection {name!r}; choose from {choices}")
 
 
-def _require(inv: Invariants, role: Role):
-    if not role_present_raw(inv.n_bar, inv.matrix, role):
-        raise DomainError(f"input game has no {role.value}")
-
-
 def _rotate_front_to_back(sizes):
     return sizes[1:] + sizes[:1]
 
@@ -82,19 +79,11 @@ def _sorted_rows(rows):
 
 
 def _f_forward(inv: Invariants) -> Invariants:
-    _require(inv, Role.VETOER)
-    if inv.t < 2:
-        raise DomainError("the null class needs at least two types")
-    if role_present_raw(inv.n_bar, inv.matrix, Role.NULL):
-        return inv
     rows = tuple(row[1:] + (0,) for row in inv.matrix)
     return Invariants(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
 
 
 def _f_inverse(inv: Invariants) -> Invariants:
-    _require(inv, Role.NULL)
-    if role_present_raw(inv.n_bar, inv.matrix, Role.VETOER):
-        return inv
     n1 = inv.n_bar[-1]
     sizes = (n1,) + inv.n_bar[:-1]
     rows = tuple((n1,) + row[:-1] for row in inv.matrix)
@@ -102,22 +91,12 @@ def _f_inverse(inv: Invariants) -> Invariants:
 
 
 def _g_forward(inv: Invariants) -> Invariants:
-    _require(inv, Role.PASSER)
-    if inv.t < 2:
-        raise DomainError("the null class needs at least two types")
-    if role_present_raw(inv.n_bar, inv.matrix, Role.NULL):
-        return inv
-    e1 = (1,) + (0,) * (inv.t - 1)
-    if inv.matrix[0] != e1:
-        raise DomainError("passer game without nulls must have the singleton profile as first row")
+    # a passer makes M[0] = e1: every other row that starts positive is above it
     rows = tuple(row[1:] + (0,) for row in inv.matrix[1:])
     return Invariants(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
 
 
 def _g_inverse(inv: Invariants) -> Invariants:
-    _require(inv, Role.NULL)
-    if role_present_raw(inv.n_bar, inv.matrix, Role.PASSER):
-        return inv
     n1 = inv.n_bar[-1]
     sizes = (n1,) + inv.n_bar[:-1]
     e1 = (1,) + (0,) * (inv.t - 1)
@@ -126,9 +105,6 @@ def _g_inverse(inv: Invariants) -> Invariants:
 
 
 def _h_forward(inv: Invariants) -> Invariants:
-    _require(inv, Role.VETOER)
-    if role_present_raw(inv.n_bar, inv.matrix, Role.SEMI_VETOER):
-        return inv
     if inv.t == 1:
         if inv.n < 2:
             raise DomainError("no semi-vetoer exists for a single player")
@@ -138,64 +114,41 @@ def _h_forward(inv: Invariants) -> Invariants:
 
 
 def _h_inverse(inv: Invariants) -> Invariants:
-    _require(inv, Role.SEMI_VETOER)
-    if role_present_raw(inv.n_bar, inv.matrix, Role.VETOER):
-        return inv
     if inv.t == 1:
         return Invariants(inv.n_bar, ((inv.n,),))
+    # without a vetoer, a semi-vetoer puts one in class 1, so n̄ - e1 is a row
     drop = (inv.n_bar[0] - 1,) + inv.n_bar[1:]
-    if drop not in inv.matrix:
-        raise DomainError("semi-veto game without veto must contain the all-but-one-strongest row")
     rows = tuple(row for row in inv.matrix if row != drop)
     return Invariants(inv.n_bar, _sorted_rows(rows))
 
 
 def _k_forward(inv: Invariants) -> Invariants:
-    _require(inv, Role.PASSER)
-    if role_present_raw(inv.n_bar, inv.matrix, Role.SEMI_PASSER):
-        return inv
     if inv.t == 1:
         if inv.n < 2:
             raise DomainError("no semi-passer exists for a single player")
         return Invariants(inv.n_bar, ((2,),))
-    e1 = (1,) + (0,) * (inv.t - 1)
-    if inv.matrix[0] != e1:
-        raise DomainError("passer game without semi-passers must start with the singleton profile")
+    # M[0] = e1, as for g
     new_first = (1,) + (0,) * (inv.t - 2) + (1,)
     return Invariants(inv.n_bar, _sorted_rows((new_first,) + inv.matrix[1:]))
 
 
 def _k_inverse(inv: Invariants) -> Invariants:
-    _require(inv, Role.SEMI_PASSER)
-    if role_present_raw(inv.n_bar, inv.matrix, Role.PASSER):
-        return inv
     if inv.t == 1:
         return Invariants(inv.n_bar, ((1,),))
+    # without a passer, a semi-passer puts one in class 1, so e1 + e_t is a row
     probe = (1,) + (0,) * (inv.t - 2) + (1,)
-    if probe not in inv.matrix:
-        raise DomainError("semi-passer game without passers must contain the pair-profile row")
     e1 = (1,) + (0,) * (inv.t - 1)
     rows = tuple(e1 if row == probe else row for row in inv.matrix)
     return Invariants(inv.n_bar, _sorted_rows(rows))
 
 
-def _h1_forward(inv: Invariants) -> Invariants:
-    _require(inv, Role.VETOER)
+def _h1(semi: Role, inv: Invariants) -> Invariants:
+    """Duality on a game that also holds a null or the semi-role ``semi``."""
     if not (
         role_present_raw(inv.n_bar, inv.matrix, Role.NULL)
-        or role_present_raw(inv.n_bar, inv.matrix, Role.SEMI_VETOER)
+        or role_present_raw(inv.n_bar, inv.matrix, semi)
     ):
-        raise DomainError("input game has no null and no semi-vetoer")
-    return dual_invariants(inv)
-
-
-def _h1_inverse(inv: Invariants) -> Invariants:
-    _require(inv, Role.PASSER)
-    if not (
-        role_present_raw(inv.n_bar, inv.matrix, Role.NULL)
-        or role_present_raw(inv.n_bar, inv.matrix, Role.SEMI_PASSER)
-    ):
-        raise DomainError("input game has no null and no semi-passer")
+        raise DomainError(f"input game has no null and no {semi.value}")
     return dual_invariants(inv)
 
 
@@ -217,10 +170,8 @@ def _h2_leftover(inv: Invariants, inverse: bool) -> Invariants:
         return Invariants((n1, b + 1, m - 1), above)
     merged = tuple((row[0] + row[1],) + row[2:-1] for row in above)
     h = Invariants((n1 + b,) + inv.n_bar[2:-1], merged)
-    if inverse and role_present_raw(h.n_bar, h.matrix, Role.NULL):
-        h = _h2_inverse(h)
-    elif not inverse and role_present_raw(h.n_bar, h.matrix, Role.SEMI_VETOER):
-        h = _h2_forward(h)
+    if role_present_raw(h.n_bar, h.matrix, Role.NULL if inverse else Role.SEMI_VETOER):
+        h = (_h2_inverse if inverse else _h2_forward)(h)
     rows = tuple((n1, b) + row[1:] + (0,) for row in h.matrix)
     last = (n1, b - 1) + h.n_bar[1:] + (m if inverse else 0,)
     return Invariants((n1, b) + h.n_bar[1:] + (m,), rows + (last,))
@@ -228,15 +179,8 @@ def _h2_leftover(inv: Invariants, inverse: bool) -> Invariants:
 
 def _h2_forward(inv: Invariants) -> Invariants:
     """Column surgery: drop the semi-veto row and move class 2 to the back as nulls."""
-    _require(inv, Role.VETOER)
-    _require(inv, Role.SEMI_VETOER)
-    if inv.t < 2:
-        raise DomainError("the null class needs at least two types")
     if inv.t == 2:
-        n1, n2 = inv.n_bar
-        return Invariants(inv.n_bar, ((n1, 0),))
-    if inv.r < 2:
-        raise DomainError("veto plus semi-veto games with three or more types have r >= 2")
+        return Invariants(inv.n_bar, ((inv.n_bar[0], 0),))
     if all(row[-1] == 0 for row in inv.matrix[:-1]):
         return _h2_leftover(inv, inverse=False)
     sizes = (inv.n_bar[0],) + inv.n_bar[2:] + (inv.n_bar[1],)
@@ -245,11 +189,8 @@ def _h2_forward(inv: Invariants) -> Invariants:
 
 
 def _h2_inverse(inv: Invariants) -> Invariants:
-    _require(inv, Role.VETOER)
-    _require(inv, Role.NULL)
     if inv.t == 2:
-        n1, n2 = inv.n_bar
-        return Invariants(inv.n_bar, ((n1, n2 - 1),))
+        return Invariants(inv.n_bar, ((inv.n_bar[0], inv.n_bar[1] - 1),))
     if inv.matrix[-1] == (inv.n_bar[0], inv.n_bar[1] - 1) + inv.n_bar[2:-1] + (0,):
         return _h2_leftover(inv, inverse=True)
     n2 = inv.n_bar[-1]
@@ -259,26 +200,42 @@ def _h2_inverse(inv: Invariants) -> Invariants:
     return Invariants(sizes, _sorted_rows(kept + (last,)))
 
 
-_FORWARD = {
-    Bijection.VETO_TO_NULL: _f_forward,
-    Bijection.PASSER_TO_NULL: _g_forward,
-    Bijection.VETO_TO_SEMI_VETO: _h_forward,
-    Bijection.PASSER_TO_SEMI_PASSER: _k_forward,
-    Bijection.DUAL_SWAP: _h1_forward,
-    Bijection.SEMI_VETO_TO_NULL: _h2_forward,
+# bijection -> (roles of its domain, roles of its image, least t, map, inverse map).
+# Each role list is checked in order, so the first missing role is the one named.
+DOMAINS = {
+    Bijection.VETO_TO_NULL: ((Role.VETOER,), (Role.NULL,), 2, _f_forward, _f_inverse),
+    Bijection.PASSER_TO_NULL: ((Role.PASSER,), (Role.NULL,), 2, _g_forward, _g_inverse),
+    Bijection.VETO_TO_SEMI_VETO: ((Role.VETOER,), (Role.SEMI_VETOER,), 1, _h_forward, _h_inverse),
+    Bijection.PASSER_TO_SEMI_PASSER: (
+        (Role.PASSER,), (Role.SEMI_PASSER,), 1, _k_forward, _k_inverse),
+    Bijection.DUAL_SWAP: ((Role.VETOER,), (Role.PASSER,), 1,
+                          partial(_h1, Role.SEMI_VETOER), partial(_h1, Role.SEMI_PASSER)),
+    Bijection.SEMI_VETO_TO_NULL: (
+        (Role.VETOER, Role.SEMI_VETOER), (Role.VETOER, Role.NULL), 2, _h2_forward, _h2_inverse),
 }
 
-_INVERSE = {
-    Bijection.VETO_TO_NULL: _f_inverse,
-    Bijection.PASSER_TO_NULL: _g_inverse,
-    Bijection.VETO_TO_SEMI_VETO: _h_inverse,
-    Bijection.PASSER_TO_SEMI_PASSER: _k_inverse,
-    Bijection.DUAL_SWAP: _h1_inverse,
-    Bijection.SEMI_VETO_TO_NULL: _h2_inverse,
-}
+# f, g, h and k fix every game that holds the roles of both their domain and image
+_FIXES_OVERLAP = frozenset({Bijection.VETO_TO_NULL, Bijection.PASSER_TO_NULL,
+                            Bijection.VETO_TO_SEMI_VETO, Bijection.PASSER_TO_SEMI_PASSER})
 
 
 def apply_bijection(bijection: Bijection, inv: Invariants, inverse: bool = False) -> Invariants:
-    """Apply one of the class bijections (or its inverse) to valid invariants."""
-    table = _INVERSE if inverse else _FORWARD
-    return table[bijection](inv)
+    """Apply one of the class bijections (or its inverse) to valid invariants.
+
+    The input must hold every role of the map's domain (of its image, for the
+    inverse) and have at least the map's least t; otherwise DomainError names
+    the first missing role or the null class.
+    """
+    domain, image, least_t, forward, backward = DOMAINS[bijection]
+    if inverse:
+        domain, image = image, domain
+    for role in domain:
+        if not role_present_raw(inv.n_bar, inv.matrix, role):
+            raise DomainError(f"input game has no {role.value}")
+    if inv.t < least_t:
+        raise DomainError("the null class needs at least two types")
+    if bijection in _FIXES_OVERLAP and all(
+        role_present_raw(inv.n_bar, inv.matrix, role) for role in image
+    ):
+        return inv
+    return backward(inv) if inverse else forward(inv)

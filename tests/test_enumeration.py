@@ -23,7 +23,7 @@ from csgames.enumeration import (
     raw_pairs,
 )
 from csgames.errors import ValidationError
-from csgames.formulas import Family, evaluate
+from csgames.formulas import Family, _enclosed_gap, evaluate, golden_ratio_gap
 from csgames.oracle import ORACLE_MAX_PLAYERS, oracle_count
 from csgames.checks import formula_row, reference_row
 from csgames.refcounts import CG_LARGE, CG_T3, CGV_T3, CGVN_T4
@@ -266,11 +266,24 @@ def test_filtered_reference_tables():
     vetoer, vetoer_null = frozenset({Role.VETOER}), frozenset({Role.VETOER, Role.NULL})
     for n in range(10, 14):
         assert count_games(EnumSpec(n=n, t=3, require=vetoer)) == CGV_T3[n]
-    for n in range(10, 15):
-        assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
+    cgvn_t4 = {n: count_games(EnumSpec(n=n, t=4, require=vetoer_null)) for n in range(10, 15)}
+    for n, count in cgvn_t4.items():
+        assert count == CGVN_T4[n], n
     # past the reference table, the closed form is the second method
+    cgv_t3 = {}
     for n in range(14, 23):
-        assert formula_row(Family.CGV_T3, n, 3, vetoer)[-1], n
+        row = formula_row(Family.CGV_T3, n, 3, vetoer)
+        assert row[-1], n
+        cgv_t3[n] = row[3]
+    # the limits rest on counts too: over the counted CG(n,2), the upper gap
+    # falls 0.192 -> 0.016 towards phi and 1.76 -> 0.89 towards phi^2
+    for counted, family, power in ((cgv_t3, Family.CGV_T3, 1), (cgvn_t4, Family.CGVN_T4, 2)):
+        uppers = []
+        for n, count in counted.items():
+            gap = _enclosed_gap(count, count_games(EnumSpec(n=n, t=2)), power)
+            assert gap == golden_ratio_gap(family, Family.CG_T2, n), n
+            uppers.append(gap[1])
+        assert all(a > b for a, b in zip(uppers, uppers[1:])), family
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")

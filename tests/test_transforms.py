@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from csgames.checks import BIJECTION_PLAN
 from csgames.core import SimpleGame, is_winning
 from csgames.enumeration import EnumSpec, enumerate_invariants
-from csgames.errors import DomainError
+from csgames.errors import DomainError, ValidationError
 from csgames.invariants import expand, extract
 from csgames.roles import Role, present_roles_raw
-from csgames.transforms import Bijection, apply_bijection, dual, dual_invariants
+from csgames.transforms import DOMAINS, Bijection, apply_bijection, dual, dual_invariants
 
 from conftest import inv
 
@@ -93,13 +93,31 @@ def test_identity_cases():
 
 def test_domain_violations_are_errors():
     no_veto = inv((3,), [[2]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^input game has no vetoer$"):
         apply_bijection(Bijection.VETO_TO_NULL, no_veto)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^input game has no semi-vetoer$"):
         apply_bijection(Bijection.SEMI_VETO_TO_NULL, inv((1, 2), [[1, 0]]))
+    # the domain roles are checked in their declared order: a passer game
+    # lacks both of h2's, and the vetoer is named first either way round
+    passer = inv((3,), [[1]])
+    with pytest.raises(DomainError, match="^input game has no vetoer$"):
+        apply_bijection(Bijection.SEMI_VETO_TO_NULL, passer)
+    with pytest.raises(DomainError, match="^input game has no vetoer$"):
+        apply_bijection(Bijection.SEMI_VETO_TO_NULL, passer, inverse=True)
+    with pytest.raises(DomainError, match="^input game has no null$"):
+        apply_bijection(Bijection.PASSER_TO_NULL, passer, inverse=True)
     # t = 1 has no null class
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^the null class needs at least two types$"):
         apply_bijection(Bijection.VETO_TO_NULL, inv((3,), [[3]]))
+    with pytest.raises(DomainError, match="^the null class needs at least two types$"):
+        apply_bijection(Bijection.PASSER_TO_NULL, passer)
+    # h1 also needs a null or the semi-role on its own side
+    with pytest.raises(DomainError, match="^input game has no null and no semi-vetoer$"):
+        apply_bijection(Bijection.DUAL_SWAP, inv((3,), [[3]]))
+    with pytest.raises(DomainError, match="^input game has no null and no semi-passer$"):
+        apply_bijection(Bijection.DUAL_SWAP, passer, inverse=True)
+    with pytest.raises(ValidationError, match="^unknown bijection 'h3'; choose from f,g,h,k,h1,h2$"):
+        Bijection.from_name("h3")
 
 
 def test_single_class_special_cases():
@@ -108,8 +126,10 @@ def test_single_class_special_cases():
     assert apply_bijection(Bijection.VETO_TO_SEMI_VETO, inv((4,), [[3]]), inverse=True) == inv(
         (4,), [[4]]
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^no semi-vetoer exists for a single player$"):
         apply_bijection(Bijection.VETO_TO_SEMI_VETO, inv((1,), [[1]]))
+    with pytest.raises(DomainError, match="^no semi-passer exists for a single player$"):
+        apply_bijection(Bijection.PASSER_TO_SEMI_PASSER, inv((1,), [[1]]))
 
 
 def test_h2_t2_family():
@@ -147,24 +167,46 @@ def test_h2_defective_member_is_paired(source, target):
     assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, target, inverse=True) == source
 
 
-def _assert_h2_bijective(n_values):
-    for n in n_values:
-        for t in range(2, n + 1):
-            domain = list(enumerate_invariants(EnumSpec(n, t, require={Role.VETOER, Role.SEMI_VETOER})))
-            target = set(enumerate_invariants(EnumSpec(n, t, require={Role.VETOER, Role.NULL})))
-            images = {apply_bijection(Bijection.SEMI_VETO_TO_NULL, g): g for g in domain}
-            assert len(images) == len(domain) and set(images) == target, (n, t)
-            for image, g in images.items():
-                assert apply_bijection(Bijection.SEMI_VETO_TO_NULL, image, inverse=True) == g
+def _assert_bijective(bijection, cells):
+    need, want, least_t = DOMAINS[bijection][:3]
+    for n, t in cells:
+        if t < least_t:
+            continue
+        domain = list(enumerate_invariants(EnumSpec(n, t, require=set(need))))
+        target = set(enumerate_invariants(EnumSpec(n, t, require=set(want))))
+        images = {apply_bijection(bijection, g): g for g in domain}
+        assert len(images) == len(domain) and set(images) == target, (bijection, n, t)
+        for image, g in images.items():
+            assert apply_bijection(bijection, image, inverse=True) == g
+
+
+def _every_t(n_values, t_max=None):
+    return [(n, t) for n in n_values for t in range(1, min(n, t_max or n) + 1)]
+
+
+# every map but h1, whose domain is not a role class (it needs a null or a semi-vetoer)
+ROLE_CLASS_MAPS = [Bijection.VETO_TO_NULL, Bijection.PASSER_TO_NULL,
+                   Bijection.VETO_TO_SEMI_VETO, Bijection.PASSER_TO_SEMI_PASSER]
 
 
 def test_h2_bijective_for_every_t():
-    _assert_h2_bijective(range(2, 9))
+    _assert_bijective(Bijection.SEMI_VETO_TO_NULL, _every_t(range(2, 9)))
+
+
+@pytest.mark.parametrize("bijection", ROLE_CLASS_MAPS, ids=lambda b: b.value)
+def test_bijective_for_every_t(bijection):
+    _assert_bijective(bijection, _every_t(range(2, 8)) + _every_t([8], t_max=5))
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_h2_bijective_for_every_t_stretch():
-    _assert_h2_bijective([9])
+    _assert_bijective(Bijection.SEMI_VETO_TO_NULL, _every_t([9]))
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+@pytest.mark.parametrize("bijection", ROLE_CLASS_MAPS, ids=lambda b: b.value)
+def test_bijective_for_every_t_stretch(bijection):
+    _assert_bijective(bijection, [(8, t) for t in range(6, 9)])
 
 
 def _classes(catalog, need):
