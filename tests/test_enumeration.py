@@ -98,7 +98,7 @@ def test_veto_filter_n3():
 
 
 def _assert_count_equals_stream_length(specs):
-    # the antichain counter against the one search, at one and two workers
+    # the counters against the one search, at one and two workers
     for spec in specs:
         streamed = sum(1 for _ in raw_pairs(spec))
         assert count_games(spec) == count_games(spec, jobs=2) == streamed, spec
@@ -112,6 +112,20 @@ def test_count_equals_stream_length():
     _assert_count_equals_stream_length(
         EnumSpec(n=n, t=t, require=require) for n in range(1, 9) for t in range(1, n + 1)
         for require in ({Role.VETOER}, {Role.NULL}, {Role.VETOER, Role.NULL}))
+    # every other filter and row limit is counted by the memoized search: against
+    # each (n, t)'s catalog, which is the stream with every game's present roles,
+    # and against the filtered streams themselves at (7, 4)
+    for n in range(1, 8):
+        for t in range(1, n + 1):
+            catalog = catalog_with_roles(n, t)
+            for kw in FILTERS:
+                for rows in (None, 2, 3) if n < 7 else (None,):
+                    spec = EnumSpec(n=n, t=t, rows=rows, **kw)
+                    streamed = sum(rows in (None, len(matrix)) and spec.require <= present
+                                   and not spec.forbid & present for _, matrix, present in catalog)
+                    assert count_games(spec) == streamed, spec
+    _assert_count_equals_stream_length(
+        EnumSpec(n=7, t=4, rows=rows, **kw) for kw in FILTERS for rows in (None, 2))
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
@@ -236,6 +250,7 @@ FILTERS = (
     [{"require": {role}} for role in Role]
     + [{"forbid": {role}} for role in Role]
     + [{"require": set(pair)} for pair in itertools.combinations(Role, 2)]
+    + [{"require": {Role.SEMI_VETOER}, "forbid": {Role.VETOER}}]
 )
 
 
@@ -284,6 +299,18 @@ def test_filtered_reference_tables():
             assert gap == golden_ratio_gap(family, Family.CG_T2, n), n
             uppers.append(gap[1])
         assert all(a > b for a, b in zip(uppers, uppers[1:])), family
+    _assert_paper_families(range(13, 15), range(4, 21))
+
+
+def _assert_paper_families(cgv_ns, cgvn_ns):
+    # duality and the h and k bijections make +passer, +semi-vetoer and
+    # +semi-passer equinumerous with +vetoer at t=3, and h2 makes
+    # +vetoer+semi-vetoer equinumerous with +vetoer+null
+    for n in cgv_ns:
+        for role in (Role.PASSER, Role.SEMI_VETOER, Role.SEMI_PASSER):
+            assert formula_row(Family.CGV_T3, n, 3, {role})[-1], (n, role)
+    for n in cgvn_ns:
+        assert formula_row(Family.CGVN_T3, n, 3, {Role.VETOER, Role.SEMI_VETOER})[-1], n
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
@@ -293,6 +320,7 @@ def test_filtered_reference_tables_stretch():
         assert count_games(EnumSpec(n=n, t=4, require=vetoer_null)) == CGVN_T4[n]
     for n in range(23, 31):
         assert formula_row(Family.CGV_T3, n, 3, {Role.VETOER})[-1], n
+    _assert_paper_families(range(15, 17), range(21, 31))
 
 
 def test_unfiltered_reference_tables():

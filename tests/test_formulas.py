@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from csgames.enumeration import EnumSpec, count_games
 from csgames.errors import DomainError
 from csgames.formulas import Family, evaluate, fib, golden_ratio_gap, phi_bounds
 from csgames.roles import Role
+
+STRETCH = os.environ.get("CSGAMES_STRETCH") == "1"
 
 
 def test_fib_base_and_values():
@@ -69,22 +72,30 @@ def test_families_with_class_count():
         evaluate(Family.CG_T2, 5, t=2)
 
 
-def test_class_count_families_match_enumeration():
-    # criterion 11 checks only the sums over t; this checks every t
+def _class_count_mismatches(ns):
     fams = {
         Family.CGD_NT: frozenset({Role.DICTATOR}),
         Family.CGSVSP_NT: frozenset({Role.SEMI_VETOER, Role.SEMI_PASSER}),
         Family.CGVSP_NT: frozenset({Role.VETOER, Role.SEMI_PASSER}),
         Family.CGPSV_NT: frozenset({Role.PASSER, Role.SEMI_VETOER}),
     }
-    mismatches = [
+    return [
         (fam.value, n, t)
-        for n in range(1, 8)
+        for n in ns
         for t in range(1, n + 1)
         for fam, req in fams.items()
         if count_games(EnumSpec(n=n, t=t, require=req)) != evaluate(fam, n, t=t)
     ]
-    assert mismatches == []
+
+
+def test_class_count_families_match_enumeration():
+    # criterion 11 checks only the sums over t; this checks every t
+    assert _class_count_mismatches(range(1, 8)) == []
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_class_count_families_match_enumeration_stretch():
+    assert _class_count_mismatches([8]) == []
 
 
 def test_domain_errors_name_the_constraint():
