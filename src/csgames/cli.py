@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import formulas
 from .checks import SUITES
@@ -29,6 +30,26 @@ EXIT_VERIFY = 4
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class _Joined(dict):
+    """Comma-joined text of int tuples, each joined once."""
+
+    def __missing__(self, ints: tuple[int, ...]) -> str:
+        text = self[ints] = ",".join(map(str, ints))
+        return text
+
+
+def _invariants_lines(invs: Iterable[Invariants]) -> Iterator[str]:
+    """``_dump(inv.to_json_dict())`` of each pair, formatted directly: compact, keys sorted.
+
+    Each distinct row and n_bar is joined once.  There are no more of them
+    than the candidate rows of the boxes, which the enumerator holds anyway.
+    """
+    text = _Joined()
+    for inv in invs:
+        rows = "],[".join([text[row] for row in inv.matrix])
+        yield f'{{"M":[[{rows}]],"n_bar":[{text[inv.n_bar]}]}}'
 
 
 def _read_json(path: str):
@@ -127,14 +148,15 @@ def _cmd_enumerate(args) -> int:
     if args.format == "csv":
         by_rows: dict[int, int] = {}
         for inv in enumerate_invariants(spec, jobs=args.jobs):
-            by_rows[inv.r] = by_rows.get(inv.r, 0) + 1
+            r = len(inv.matrix)
+            by_rows[r] = by_rows.get(r, 0) + 1
         filt = _filter_label(spec)
         print("n,t,r,filter,count")
         for r in sorted(by_rows):
             print(f"{args.n},{args.t},{r},{filt},{by_rows[r]}")
         return EXIT_OK
-    for inv in enumerate_invariants(spec, jobs=args.jobs):
-        print(_dump(inv.to_json_dict()))
+    for line in _invariants_lines(enumerate_invariants(spec, jobs=args.jobs)):
+        print(line)
     return EXIT_OK
 
 

@@ -81,6 +81,11 @@ def _json_ints(value, what: str, depth: int = 1):
     return tuple(_json_ints(v, what, depth - 1) for v in value)
 
 
+def _check_player_count(n: int) -> None:
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValidationError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
+
+
 @dataclass(frozen=True)
 class SimpleGame:
     """A monotone voting game, stored by its antichain of minimal winning coalitions."""
@@ -89,8 +94,7 @@ class SimpleGame:
     min_winning: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise ValidationError(f"player count must be in 1..{MAX_PLAYERS}, got {self.n}")
+        _check_player_count(self.n)
         masks = tuple(sorted(set(map(int, self.min_winning)), key=_member_order))
         if not masks:
             raise ValidationError("a game needs at least one minimal winning coalition")
@@ -104,6 +108,21 @@ class SimpleGame:
             if c == a or c == b:
                 raise ValidationError("min_winning must be an antichain under inclusion")
         object.__setattr__(self, "min_winning", masks)
+
+    @classmethod
+    def _canonical(cls, n: int, masks: Iterable[int]) -> "SimpleGame":
+        """A game the library built and knows to be valid, without the mask range and antichain checks.
+
+        ``masks`` must be a nonempty antichain of int masks over players 1..n.
+        They are still put in ``_member_order``, which game equality and the
+        ``_winning_table`` cache key rely on.  The player count is still
+        checked, because ``expand`` takes invariants of any size.
+        """
+        _check_player_count(n)
+        game = object.__new__(cls)
+        object.__setattr__(game, "n", n)
+        object.__setattr__(game, "min_winning", tuple(sorted(set(masks), key=_member_order)))
+        return game
 
     @classmethod
     def from_coalitions(cls, n: int, coalitions: Iterable[Iterable[int]]) -> "SimpleGame":

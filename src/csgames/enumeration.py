@@ -418,11 +418,14 @@ def enumerate_invariants(spec: EnumSpec, jobs: int = 1) -> Iterator[Invariants]:
     """Stream every matching canonical invariant pair exactly once.
 
     Order is deterministic for any job count: composition-major (decreasing
-    lex), then matrix order within a composition.
+    lex), then matrix order within a composition.  The pairs are valid by
+    construction, so they skip ``Invariants``' check: the rows come from the
+    box, stay pairwise incomparable, separate every boundary at a leaf, start
+    positive and descend in lex order.
     """
     for block in _map_shards(_pairs_shard, spec, jobs):
         for comp, matrix in block:
-            yield Invariants(comp, matrix)
+            yield Invariants._canonical(comp, matrix)
 
 
 def count_games(spec: EnumSpec, jobs: int = 1) -> int:

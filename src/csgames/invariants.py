@@ -70,7 +70,14 @@ def _violations(sizes: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> li
 
 @dataclass(frozen=True)
 class Invariants:
-    """A validated (n_bar, M) pair; construction rejects invalid candidates."""
+    """A valid (n_bar, M) pair.
+
+    ``Invariants(n_bar, M)`` checks every condition and rejects an invalid
+    candidate.  The values the library builds itself (the enumerator's pairs,
+    ``extract``, ``dual_invariants`` and the bijection images) are canonical by
+    construction and come from ``_canonical``, which skips the check; the test
+    suite checks those outputs against full validation instead.
+    """
 
     n_bar: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -84,6 +91,18 @@ class Invariants:
             )
         object.__setattr__(self, "n_bar", sizes)
         object.__setattr__(self, "matrix", rows)
+
+    @classmethod
+    def _canonical(cls, n_bar: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> "Invariants":
+        """A pair the library built and knows to be valid, taken as it is.
+
+        ``n_bar`` and ``matrix`` must already be int tuples that meet every
+        condition; nothing is checked or converted.
+        """
+        inv = object.__new__(cls)
+        object.__setattr__(inv, "n_bar", n_bar)
+        object.__setattr__(inv, "matrix", matrix)
+        return inv
 
     @property
     def t(self) -> int:
@@ -153,7 +172,7 @@ def _winning_bits(n_bar, rows) -> tuple[DeltaTable, int]:
 
 def _shift_minimal(table: DeltaTable, winning: int) -> Invariants:
     """Invariants whose matrix is the delta-minimal profiles of an up-closed set."""
-    return Invariants(table.sizes, tuple(table.members(table.minimal(winning, table.delta_steps))))
+    return Invariants._canonical(table.sizes, tuple(table.members(table.minimal(winning, table.delta_steps))))
 
 
 def winning_profiles(inv: Invariants) -> frozenset[Profile]:
@@ -177,7 +196,7 @@ def expand(inv: Invariants) -> SimpleGame:
     for counts in table.members(table.minimal(winning, table.drop_steps)):
         per_class = [map(sum, itertools.combinations(bits, c)) for bits, c in zip(members, counts)]
         masks.extend(map(sum, itertools.product(*per_class)))
-    return SimpleGame(inv.n, tuple(masks))
+    return SimpleGame._canonical(inv.n, masks)
 
 
 def extract(game: SimpleGame) -> Invariants:

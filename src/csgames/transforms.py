@@ -44,7 +44,7 @@ def dual(game: SimpleGame) -> SimpleGame:
                 free ^= i
                 extended.append(tr | i)
         transversals = extended
-    return SimpleGame(game.n, tuple(transversals))
+    return SimpleGame._canonical(game.n, transversals)
 
 
 def dual_invariants(inv: Invariants) -> Invariants:
@@ -80,20 +80,20 @@ def _sorted_rows(rows):
 
 def _f_forward(inv: Invariants) -> Invariants:
     rows = tuple(row[1:] + (0,) for row in inv.matrix)
-    return Invariants(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
+    return Invariants._canonical(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
 
 
 def _f_inverse(inv: Invariants) -> Invariants:
     n1 = inv.n_bar[-1]
     sizes = (n1,) + inv.n_bar[:-1]
     rows = tuple((n1,) + row[:-1] for row in inv.matrix)
-    return Invariants(sizes, _sorted_rows(rows))
+    return Invariants._canonical(sizes, _sorted_rows(rows))
 
 
 def _g_forward(inv: Invariants) -> Invariants:
     # a passer makes M[0] = e1: every other row that starts positive is above it
     rows = tuple(row[1:] + (0,) for row in inv.matrix[1:])
-    return Invariants(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
+    return Invariants._canonical(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
 
 
 def _g_inverse(inv: Invariants) -> Invariants:
@@ -101,45 +101,45 @@ def _g_inverse(inv: Invariants) -> Invariants:
     sizes = (n1,) + inv.n_bar[:-1]
     e1 = (1,) + (0,) * (inv.t - 1)
     rows = (e1,) + tuple((0,) + row[:-1] for row in inv.matrix)
-    return Invariants(sizes, _sorted_rows(rows))
+    return Invariants._canonical(sizes, _sorted_rows(rows))
 
 
 def _h_forward(inv: Invariants) -> Invariants:
     if inv.t == 1:
         if inv.n < 2:
             raise DomainError("no semi-vetoer exists for a single player")
-        return Invariants(inv.n_bar, ((inv.n - 1,),))
+        return Invariants._canonical(inv.n_bar, ((inv.n - 1,),))
     new_row = (inv.n_bar[0] - 1,) + inv.n_bar[1:]
-    return Invariants(inv.n_bar, _sorted_rows(inv.matrix + (new_row,)))
+    return Invariants._canonical(inv.n_bar, _sorted_rows(inv.matrix + (new_row,)))
 
 
 def _h_inverse(inv: Invariants) -> Invariants:
     if inv.t == 1:
-        return Invariants(inv.n_bar, ((inv.n,),))
+        return Invariants._canonical(inv.n_bar, ((inv.n,),))
     # without a vetoer, a semi-vetoer puts one in class 1, so n̄ - e1 is a row
     drop = (inv.n_bar[0] - 1,) + inv.n_bar[1:]
     rows = tuple(row for row in inv.matrix if row != drop)
-    return Invariants(inv.n_bar, _sorted_rows(rows))
+    return Invariants._canonical(inv.n_bar, _sorted_rows(rows))
 
 
 def _k_forward(inv: Invariants) -> Invariants:
     if inv.t == 1:
         if inv.n < 2:
             raise DomainError("no semi-passer exists for a single player")
-        return Invariants(inv.n_bar, ((2,),))
+        return Invariants._canonical(inv.n_bar, ((2,),))
     # M[0] = e1, as for g
     new_first = (1,) + (0,) * (inv.t - 2) + (1,)
-    return Invariants(inv.n_bar, _sorted_rows((new_first,) + inv.matrix[1:]))
+    return Invariants._canonical(inv.n_bar, _sorted_rows((new_first,) + inv.matrix[1:]))
 
 
 def _k_inverse(inv: Invariants) -> Invariants:
     if inv.t == 1:
-        return Invariants(inv.n_bar, ((1,),))
+        return Invariants._canonical(inv.n_bar, ((1,),))
     # without a passer, a semi-passer puts one in class 1, so e1 + e_t is a row
     probe = (1,) + (0,) * (inv.t - 2) + (1,)
     e1 = (1,) + (0,) * (inv.t - 1)
     rows = tuple(e1 if row == probe else row for row in inv.matrix)
-    return Invariants(inv.n_bar, _sorted_rows(rows))
+    return Invariants._canonical(inv.n_bar, _sorted_rows(rows))
 
 
 def _h1(semi: Role, inv: Invariants) -> Invariants:
@@ -166,38 +166,38 @@ def _h2_leftover(inv: Invariants, inverse: bool) -> Invariants:
     above = inv.matrix[:-1]
     if inv.t == 3:
         if inverse:
-            return Invariants((n1, b - 1, m + 1), ((n1, b - 1, 0), (n1, b - 2, m + 1)))
-        return Invariants((n1, b + 1, m - 1), above)
+            return Invariants._canonical((n1, b - 1, m + 1), ((n1, b - 1, 0), (n1, b - 2, m + 1)))
+        return Invariants._canonical((n1, b + 1, m - 1), above)
     merged = tuple((row[0] + row[1],) + row[2:-1] for row in above)
-    h = Invariants((n1 + b,) + inv.n_bar[2:-1], merged)
+    h = Invariants._canonical((n1 + b,) + inv.n_bar[2:-1], merged)
     if role_present_raw(h.n_bar, h.matrix, Role.NULL if inverse else Role.SEMI_VETOER):
         h = (_h2_inverse if inverse else _h2_forward)(h)
     rows = tuple((n1, b) + row[1:] + (0,) for row in h.matrix)
     last = (n1, b - 1) + h.n_bar[1:] + (m if inverse else 0,)
-    return Invariants((n1, b) + h.n_bar[1:] + (m,), rows + (last,))
+    return Invariants._canonical((n1, b) + h.n_bar[1:] + (m,), rows + (last,))
 
 
 def _h2_forward(inv: Invariants) -> Invariants:
     """Column surgery: drop the semi-veto row and move class 2 to the back as nulls."""
     if inv.t == 2:
-        return Invariants(inv.n_bar, ((inv.n_bar[0], 0),))
+        return Invariants._canonical(inv.n_bar, ((inv.n_bar[0], 0),))
     if all(row[-1] == 0 for row in inv.matrix[:-1]):
         return _h2_leftover(inv, inverse=False)
     sizes = (inv.n_bar[0],) + inv.n_bar[2:] + (inv.n_bar[1],)
     rows = tuple((row[0],) + row[2:] + (0,) for row in inv.matrix[:-1])
-    return Invariants(sizes, _sorted_rows(rows))
+    return Invariants._canonical(sizes, _sorted_rows(rows))
 
 
 def _h2_inverse(inv: Invariants) -> Invariants:
     if inv.t == 2:
-        return Invariants(inv.n_bar, ((inv.n_bar[0], inv.n_bar[1] - 1),))
+        return Invariants._canonical(inv.n_bar, ((inv.n_bar[0], inv.n_bar[1] - 1),))
     if inv.matrix[-1] == (inv.n_bar[0], inv.n_bar[1] - 1) + inv.n_bar[2:-1] + (0,):
         return _h2_leftover(inv, inverse=True)
     n2 = inv.n_bar[-1]
     sizes = (inv.n_bar[0],) + (n2,) + inv.n_bar[1:-1]
     kept = tuple((row[0], n2) + row[1:-1] for row in inv.matrix)
     last = (sizes[0], n2 - 1) + sizes[2:]
-    return Invariants(sizes, _sorted_rows(kept + (last,)))
+    return Invariants._canonical(sizes, _sorted_rows(kept + (last,)))
 
 
 # bijection -> (roles of its domain, roles of its image, least t, map, inverse map).

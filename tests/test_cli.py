@@ -277,6 +277,28 @@ def test_filtered_enumerate_bytes(capsys, args, lines, digest, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the unfiltered stream and its csv table, pinned before enumerate formatted
+# its lines directly; perfbench/worker.py pins the same (8,4) stream
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unfiltered_enumerate_bytes(capsys, jobs):
+    code, out, _ = run(capsys, ["enumerate", "--n", "8", "--t", "4", "--jobs", jobs])
+    assert code == 0
+    assert out.count("\n") == 45483
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "378e22b50040d5d2f0a4ba6d319f3c689ec7a96fb3f5dcbe0680f0ef56cf5b17")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_csv_bytes(capsys, jobs):
+    code, out, _ = run(capsys, ["enumerate", "--n", "7", "--t", "4", "--format", "csv", "--jobs", jobs])
+    assert code == 0
+    assert out == (
+        "n,t,r,filter,count\n"
+        "7,4,1,none,8\n7,4,2,none,819\n7,4,3,none,2540\n"
+        "7,4,4,none,1248\n7,4,5,none,148\n7,4,6,none,6\n"
+    )
+
+
 def test_enumerate_with_roles_and_count(capsys):
     code, out, _ = run(
         capsys, ["enumerate", "--n", "3", "--t", "2", "--with", "vetoer", "--count-only"]

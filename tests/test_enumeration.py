@@ -24,6 +24,7 @@ from csgames.enumeration import (
 )
 from csgames.errors import ValidationError
 from csgames.formulas import Family, _enclosed_gap, evaluate, golden_ratio_gap
+from csgames.invariants import check_conditions
 from csgames.oracle import ORACLE_MAX_PLAYERS, oracle_count
 from csgames.checks import formula_row, reference_row
 from csgames.refcounts import CG_LARGE, CG_T3, CGV_T3, CGVN_T4
@@ -91,6 +92,25 @@ def test_single_class_counts():
     ]
     for n in range(1, 13):
         assert count_games(EnumSpec(n=n, t=1)) == n
+
+
+def _assert_stream_valid(specs):
+    # enumerate_invariants builds these pairs unchecked; full validation here
+    for spec in specs:
+        for sizes, matrix in raw_pairs(spec):
+            assert check_conditions(sizes, matrix) == [], (sizes, matrix)
+
+
+def test_stream_is_valid_by_construction():
+    _assert_stream_valid(
+        EnumSpec(n=n, t=t) for n in range(1, 9) for t in range(1, n + 1) if n < 8 or t <= 4)
+    # lone rows come from their own path, _single_rows
+    _assert_stream_valid(EnumSpec(n=n, t=t, rows=1) for n in range(1, 9) for t in range(1, n + 1))
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_stream_is_valid_by_construction_stretch():
+    _assert_stream_valid([EnumSpec(n=8, t=5)])
 
 
 def test_veto_filter_n3():

@@ -205,6 +205,12 @@ def test_conversions_cap_the_box():
             convert(big)
 
 
+def test_expand_caps_the_player_count():
+    # a valid pair may hold more players than a game; expand still refuses them
+    with pytest.raises(ValidationError, match="player count must be in 1..64, got 70"):
+        expand(inv((70,), [[70]]))
+
+
 def test_monotone_closure_of_winning_set():
     wins = {p.counts for p in winning_profiles(EX2)}
     for counts in wins:

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -8,7 +9,7 @@ from csgames.checks import BIJECTION_PLAN
 from csgames.core import SimpleGame, is_winning
 from csgames.enumeration import EnumSpec, enumerate_invariants
 from csgames.errors import DomainError, ValidationError
-from csgames.invariants import expand, extract
+from csgames.invariants import Invariants, expand, extract
 from csgames.roles import Role, present_roles_raw
 from csgames.transforms import DOMAINS, Bijection, apply_bijection, dual, dual_invariants
 
@@ -245,12 +246,24 @@ def test_dual_swap_also_pairs_semi_classes(role_catalog):
         assert images == target and len(images) == len(domain)
 
 
-def test_outputs_validate(role_catalog):
-    # Invariants construction re-checks all conditions, so reaching here means
-    # every image passed; spot-check the appended-row map on veto games anyway.
-    for (n, t), catalog in role_catalog.items():
-        if n < 2:
-            continue
-        for g in _classes(catalog, {Role.VETOER}):
-            out = apply_bijection(Bijection.VETO_TO_SEMI_VETO, g)
-            assert out.t == g.t and out.n == g.n
+def test_outputs_validate(small_catalog):
+    # expand, extract, dual, dual_invariants and the bijections build their
+    # outputs unchecked; each must equal its fully validated copy
+    images = 0
+    for (n, t), games in small_catalog.items():
+        assert list(enumerate_invariants(EnumSpec(n, t))) == games
+        for g in games:
+            game = expand(g)
+            dual_game = dual(game)
+            for out in (game, dual_game):
+                assert SimpleGame(out.n, out.min_winning) == out, g
+            for out in (extract(game), extract(dual_game), dual_invariants(g)):
+                assert Invariants(out.n_bar, out.matrix) == out, g
+            for bijection, inverse in itertools.product(Bijection, (False, True)):
+                try:
+                    out = apply_bijection(bijection, g, inverse=inverse)
+                except DomainError:
+                    continue
+                assert Invariants(out.n_bar, out.matrix) == out, (bijection, inverse, g)
+                images += 1
+    assert images == 1494  # every map and inverse whose domain holds the game
