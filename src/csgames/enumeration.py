@@ -10,7 +10,7 @@ Counts never walk the stream.  Unfiltered counts, and counts that require only
 a vetoer and/or a null, skip the search: a memoized one-sum recurrence over
 each antichain's lex-largest row counts the antichains of the allowed rows.
 Every other filter and row count runs the search with its subtrees memoized
-on (allowed rows, accumulated bits, rows left); lone-row counts walk the
+on (allowed rows, accumulated bits, rows left); single-row counts walk the
 product of a lone row's ranges.
 """
 
@@ -114,8 +114,8 @@ class _Roles(dict):
 
     A key holds the t - 1 separation bits, then one bit per role test profile
     (some row lies at or below it in the delta order), then a bit for a
-    nonzero last entry in some row, then the one-row flag.  Each key is
-    decided once, by ``roles._class_roles`` reading its win tests off the bits.
+    nonzero last entry in some row.  Each key is decided once, by
+    ``roles._class_roles`` reading its win tests off the bits.
     """
 
     def __init__(self, sizes: tuple[int, ...]):
@@ -134,7 +134,6 @@ class _Roles(dict):
             for v in range(n, -1, -1):
                 column[v] |= column[v + 1]
         self.nonzero_last = 1 << (len(sizes) - 1 + len(profiles))
-        self.one_row = self.nonzero_last << 1
 
     def row_bits(self, row: tuple[int, ...]) -> int:
         """The role bits of one row, placed above its separation bits."""
@@ -145,7 +144,7 @@ class _Roles(dict):
 
     def __missing__(self, key: int) -> frozenset[Role]:
         classes = _class_roles(self.sizes, lambda p: key >> self.profile_bit[p] & 1,
-                               bool(key & self.one_row), not key & self.nonzero_last)
+                               not key & self.nonzero_last)
         present = self[key] = frozenset().union(*classes)
         return present
 
@@ -255,23 +254,23 @@ def _count_by_search(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
     s | bits[x].  So the extensions E(q, s, left) number
     Σ_{x∈q} [leaf(s | bits[x], left)] + E(q ∩ incomp_after[x], s | bits[x], left − 1),
     memoized for this one composition.  The top level walks the allowed rows
-    that start positive and adds the one-row flag to their leaf keys.  The
-    leaf test, child mask and prune repeat ``_shard_matrices``'s inline: a
-    shared helper call per node slowed the (8,4) stream by about 20%.
+    that start positive.  The leaf test, child mask and prune repeat
+    ``_shard_matrices``'s inline: a shared helper call per node slowed the
+    (8,4) stream by about 20%.
     """
     prep = _prepare(sizes)
     inc, suf, full, box = prep.incomp_after, prep.suffix_sat, prep.full, len(prep.rows)
     bits = _row_bits(sizes) if spec.filtered else prep.sat
-    one_row = _roles(sizes).one_row  # above every bit of bits, so s < one_row
+    left_unit = _roles(sizes).nonzero_last << 1  # one row left, above every key bit
     keep = _keep(sizes, spec.require, spec.forbid)
     step = 1 if spec.rows else 0  # left = rows still allowed; 0: no limit
     allowed = _required_rows(sizes, spec.require)
     memo = {}
     # explicit: the recursion gets as deep as the longest antichain
-    # frame: (memo key, row set q, bits s, left, rows of q still to add, total, leaf flag)
-    stack = [(None, allowed, 0, spec.rows or 0, allowed & (1 << prep.first_count) - 1, 0, one_row)]
+    # frame: (memo key, row set q, bits s, left, rows of q still to add, total)
+    stack = [(None, allowed, 0, spec.rows or 0, allowed & (1 << prep.first_count) - 1, 0)]
     while True:
-        key, q, s, left, todo, total, flag = stack.pop()
+        key, q, s, left, todo, total = stack.pop()
         while todo:
             low = todo & -todo
             x = low.bit_length() - 1
@@ -279,14 +278,14 @@ def _count_by_search(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
             if left != 1:
                 child = q & inc[x]
                 if child and not (full & ~s2) & ~suf[(child & -child).bit_length() - 1]:
-                    inner = (s2 + (left - step) * one_row) << box | child
+                    inner = (s2 + (left - step) * left_unit) << box | child
                     sub = memo.get(inner)
                     if sub is None:  # resume at x once the child is counted
-                        stack += ((key, q, s, left, todo, total, flag),
-                                  (inner, child, s2, left - step, child, 0, 0))
+                        stack += ((key, q, s, left, todo, total),
+                                  (inner, child, s2, left - step, child, 0))
                         break
                     total += sub
-            if s2 & full == full and left <= 1 and keep[s2 | flag]:
+            if s2 & full == full and left <= 1 and keep[s2]:
                 total += 1
             todo ^= low
         else:
@@ -312,16 +311,17 @@ def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
 
 
 def _single_row_games(spec: EnumSpec, sizes: tuple[int, ...]):
-    """(matrix, key) pairs of one composition's lone-row games that pass the
-    spec's role filters.  The role tables are built only for a composition
-    that has a lone row, and only when filtered; unfiltered, keys are None.
+    """(matrix, key) pairs of one composition's single-row games that pass the
+    spec's role filters; a key is the search's, every separation bit | the
+    row's role bits.  Role tables are built only for a composition with a
+    lone row, and only when filtered; unfiltered, keys are None.
     """
     for matrix in _single_rows(sizes):
         if not spec.filtered:
             yield matrix, None
             continue
         roles = _roles(sizes)
-        key = (1 << (len(sizes) - 1)) - 1 | roles.one_row | roles.row_bits(matrix[0])
+        key = (1 << (len(sizes) - 1)) - 1 | roles.row_bits(matrix[0])
         if _keep(sizes, spec.require, spec.forbid)[key]:
             yield matrix, key
 
@@ -330,9 +330,9 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
     """(matrix, key) pairs of one composition that pass the spec's role filters.
 
     ``_roles(sizes)[key]`` is the matrix's present-role set.  A key ORs
-    ``_row_bits`` over the matrix's rows, so a search node costs one OR; a
-    lone-row matrix also carries the one-row flag.  The search uses only the
-    rows in ``_required_rows``, and its first row starts positive.
+    ``_row_bits`` over the matrix's rows, so a search node costs one OR.  The
+    search uses only the rows in ``_required_rows``, and its first row starts
+    positive.
     """
     if spec.rows == 1:
         yield from _single_row_games(spec, sizes)
@@ -341,7 +341,6 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
     rows, inc, suf, full = prep.rows, prep.incomp_after, prep.suffix_sat, prep.full
     starts = (1 << prep.first_count) - 1
     bits = _row_bits(sizes)
-    one_row = _roles(sizes).one_row
     keep = _keep(sizes, spec.require, spec.forbid)
     row_limit = spec.rows
     chosen = []
@@ -355,9 +354,8 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
             s2 = s | bits[k]
             d2 = depth + 1
             chosen.append(k)
-            key = s2 if depth else s2 | one_row
-            if s2 & full == full and (row_limit is None or d2 == row_limit) and keep[key]:
-                yield tuple(rows[c] for c in chosen), key
+            if s2 & full == full and (row_limit is None or d2 == row_limit) and keep[s2]:
+                yield tuple(rows[c] for c in chosen), s2
             if row_limit is None or d2 < row_limit:
                 child = allowed & inc[k]
                 if child:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 from operator import and_, ge, gt, le, lt
 
 from .core import SimpleGame, type_partition, _json_ints
@@ -185,7 +185,9 @@ def expand(inv: Invariants) -> SimpleGame:
     """The complete simple game realizing the invariants.
 
     Class k is populated with consecutive player indices (class 1 gets 1..n_1).
-    Minimal winning coalitions realize the inclusion-minimal winning profiles.
+    Minimal winning coalitions realize the inclusion-minimal winning profiles;
+    more than ``WINNING_SET_CAP`` of them is a CapacityError, raised before
+    the profile that passes the cap is listed.
     """
     table, winning = _winning_bits(inv.n_bar, inv.matrix)
     # player bits per class; the classes are disjoint, so sums of bits are unions
@@ -194,6 +196,8 @@ def expand(inv: Invariants) -> SimpleGame:
     masks = []
     # inclusion-minimal: dropping any single member must lose
     for counts in table.members(table.minimal(winning, table.drop_steps)):
+        if len(masks) + prod(map(comb, inv.n_bar, counts)) > WINNING_SET_CAP:
+            raise CapacityError(f"game has more than {WINNING_SET_CAP} minimal winning coalitions")
         per_class = [map(sum, itertools.combinations(bits, c)) for bits, c in zip(members, counts)]
         masks.extend(map(sum, itertools.product(*per_class)))
     return SimpleGame._canonical(inv.n, masks)

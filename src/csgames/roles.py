@@ -133,20 +133,19 @@ def role_test_profiles(n_bar) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _class_roles(n_bar, wins, one_row: bool, last_zero: bool) -> list[set[Role]]:
+def _class_roles(n_bar, wins, last_zero: bool) -> list[set[Role]]:
     """Role sets per class from win tests on ``role_test_profiles(n_bar)`` only.
 
     ``wins(profile)`` says whether the profile delta-dominates (or equals) some
-    matrix row; ``one_row`` whether the matrix has a single row; ``last_zero``
-    whether every row ends in 0.  The reference path passes ``wins_counts`` on
-    a matrix, the enumerator a lookup in bits accumulated during its search.
+    matrix row; ``last_zero`` whether every row ends in 0.  The reference path
+    passes ``wins_counts`` on a matrix, the enumerator a lookup in bits
+    accumulated during its search.  A dictator is a voter who is both passer
+    and vetoer: if {i} wins and i is in every winning coalition, {i} is the
+    only minimal one, and no class of two members can hold such a voter.
     """
     t = len(n_bar)
     zero = (0,) * t
     roles = [set() for _ in range(t)]
-    # a lone row at or below e_1 is e_1 itself, since a matrix's first row starts positive
-    if one_row and n_bar[0] == 1 and wins(_shift(zero, 0, 1)):
-        roles[0].add(Role.DICTATOR)
     for c in range(t):
         e_c = _shift(zero, c, 1)
         top_c = _shift(n_bar, c, -1)
@@ -166,6 +165,8 @@ def _class_roles(n_bar, wins, one_row: bool, last_zero: bool) -> list[set[Role]]
             wins(_shift(e_c, e, 1)) for e in range(t) if e != c or n_bar[c] >= 2
         ):
             roles[c].add(Role.SEMI_PASSER)
+        if Role.PASSER in roles[c] and Role.VETOER in roles[c]:
+            roles[c].add(Role.DICTATOR)
     return roles
 
 
@@ -173,7 +174,6 @@ def _class_roles_raw(n_bar, matrix) -> list[set[Role]]:
     return _class_roles(
         n_bar,
         lambda counts: wins_counts(n_bar, matrix, counts),
-        len(matrix) == 1,
         all(row[-1] == 0 for row in matrix),
     )
 
@@ -187,7 +187,9 @@ def structural_roles(inv: Invariants) -> RoleReport:
 def role_present_raw(n_bar, matrix, role: Role) -> bool:
     """Single-role presence test on raw (n_bar, matrix) tuples; used by the bijections."""
     t = len(n_bar)
-    n = sum(n_bar)
+    if role is Role.DICTATOR:  # both tests read class 1, so they name one voter
+        return (role_present_raw(n_bar, matrix, Role.VETOER)
+                and role_present_raw(n_bar, matrix, Role.PASSER))
     if role is Role.VETOER:
         n1 = n_bar[0]
         return all(row[0] == n1 for row in matrix)
@@ -196,11 +198,6 @@ def role_present_raw(n_bar, matrix, role: Role) -> bool:
     if role is Role.PASSER:
         e1 = (1,) + (0,) * (t - 1)
         return wins_counts(n_bar, matrix, e1)
-    if role is Role.DICTATOR:
-        e1 = (1,) + (0,) * (t - 1)
-        return (t == 1 and n == 1 and matrix == ((1,),)) or (
-            t >= 2 and n_bar[0] == 1 and matrix == (e1,)
-        )
     roles = _class_roles_raw(n_bar, matrix)
     return any(role in r for r in roles)
 

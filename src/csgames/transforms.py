@@ -74,26 +74,24 @@ def _rotate_front_to_back(sizes):
     return sizes[1:] + sizes[:1]
 
 
-def _sorted_rows(rows):
-    return tuple(sorted(rows, reverse=True))
-
-
+# The images keep decreasing lex order unsorted: rewritten rows share the entry
+# dropped or added, and a row put first or last starts above or below the rest.
 def _f_forward(inv: Invariants) -> Invariants:
     rows = tuple(row[1:] + (0,) for row in inv.matrix)
-    return Invariants._canonical(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
+    return Invariants._canonical(_rotate_front_to_back(inv.n_bar), rows)
 
 
 def _f_inverse(inv: Invariants) -> Invariants:
     n1 = inv.n_bar[-1]
     sizes = (n1,) + inv.n_bar[:-1]
     rows = tuple((n1,) + row[:-1] for row in inv.matrix)
-    return Invariants._canonical(sizes, _sorted_rows(rows))
+    return Invariants._canonical(sizes, rows)
 
 
 def _g_forward(inv: Invariants) -> Invariants:
     # a passer makes M[0] = e1: every other row that starts positive is above it
     rows = tuple(row[1:] + (0,) for row in inv.matrix[1:])
-    return Invariants._canonical(_rotate_front_to_back(inv.n_bar), _sorted_rows(rows))
+    return Invariants._canonical(_rotate_front_to_back(inv.n_bar), rows)
 
 
 def _g_inverse(inv: Invariants) -> Invariants:
@@ -101,7 +99,7 @@ def _g_inverse(inv: Invariants) -> Invariants:
     sizes = (n1,) + inv.n_bar[:-1]
     e1 = (1,) + (0,) * (inv.t - 1)
     rows = (e1,) + tuple((0,) + row[:-1] for row in inv.matrix)
-    return Invariants._canonical(sizes, _sorted_rows(rows))
+    return Invariants._canonical(sizes, rows)
 
 
 def _h_forward(inv: Invariants) -> Invariants:
@@ -110,7 +108,7 @@ def _h_forward(inv: Invariants) -> Invariants:
             raise DomainError("no semi-vetoer exists for a single player")
         return Invariants._canonical(inv.n_bar, ((inv.n - 1,),))
     new_row = (inv.n_bar[0] - 1,) + inv.n_bar[1:]
-    return Invariants._canonical(inv.n_bar, _sorted_rows(inv.matrix + (new_row,)))
+    return Invariants._canonical(inv.n_bar, inv.matrix + (new_row,))
 
 
 def _h_inverse(inv: Invariants) -> Invariants:
@@ -119,7 +117,7 @@ def _h_inverse(inv: Invariants) -> Invariants:
     # without a vetoer, a semi-vetoer puts one in class 1, so n̄ - e1 is a row
     drop = (inv.n_bar[0] - 1,) + inv.n_bar[1:]
     rows = tuple(row for row in inv.matrix if row != drop)
-    return Invariants._canonical(inv.n_bar, _sorted_rows(rows))
+    return Invariants._canonical(inv.n_bar, rows)
 
 
 def _k_forward(inv: Invariants) -> Invariants:
@@ -129,7 +127,7 @@ def _k_forward(inv: Invariants) -> Invariants:
         return Invariants._canonical(inv.n_bar, ((2,),))
     # M[0] = e1, as for g
     new_first = (1,) + (0,) * (inv.t - 2) + (1,)
-    return Invariants._canonical(inv.n_bar, _sorted_rows((new_first,) + inv.matrix[1:]))
+    return Invariants._canonical(inv.n_bar, (new_first,) + inv.matrix[1:])
 
 
 def _k_inverse(inv: Invariants) -> Invariants:
@@ -139,7 +137,7 @@ def _k_inverse(inv: Invariants) -> Invariants:
     probe = (1,) + (0,) * (inv.t - 2) + (1,)
     e1 = (1,) + (0,) * (inv.t - 1)
     rows = tuple(e1 if row == probe else row for row in inv.matrix)
-    return Invariants._canonical(inv.n_bar, _sorted_rows(rows))
+    return Invariants._canonical(inv.n_bar, rows)
 
 
 def _h1(semi: Role, inv: Invariants) -> Invariants:
@@ -185,7 +183,8 @@ def _h2_forward(inv: Invariants) -> Invariants:
         return _h2_leftover(inv, inverse=False)
     sizes = (inv.n_bar[0],) + inv.n_bar[2:] + (inv.n_bar[1],)
     rows = tuple((row[0],) + row[2:] + (0,) for row in inv.matrix[:-1])
-    return Invariants._canonical(sizes, _sorted_rows(rows))
+    # no proof that dropping column 2 keeps the rows in order
+    return Invariants._canonical(sizes, tuple(sorted(rows, reverse=True)))
 
 
 def _h2_inverse(inv: Invariants) -> Invariants:
@@ -197,7 +196,7 @@ def _h2_inverse(inv: Invariants) -> Invariants:
     sizes = (inv.n_bar[0],) + (n2,) + inv.n_bar[1:-1]
     kept = tuple((row[0], n2) + row[1:-1] for row in inv.matrix)
     last = (sizes[0], n2 - 1) + sizes[2:]
-    return Invariants._canonical(sizes, _sorted_rows(kept + (last,)))
+    return Invariants._canonical(sizes, kept + (last,))
 
 
 # bijection -> (roles of its domain, roles of its image, least t, map, inverse map).

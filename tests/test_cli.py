@@ -376,11 +376,14 @@ def test_capacity_abort(capsys):
 
 # a box of 1001 * 1000 profiles, just over the conversions' cap
 BIG_BOX = '{"n_bar":[1000,999],"M":[[1000,0]]}'
+# a box of 65 profiles, but C(64, 32) minimal winning coalitions
+MANY_COALITIONS = '{"n_bar":[64],"M":[[32]]}'
 
 
-@pytest.mark.parametrize("command", ["expand", "dual"])
-def test_conversion_over_box_cap_exits_3(capsys, monkeypatch, command):
-    assert_one_error_line(*run(capsys, [command, "-"], BIG_BOX, monkeypatch), exit_code=3)
+@pytest.mark.parametrize("command,game", [("expand", BIG_BOX), ("dual", BIG_BOX), ("expand", MANY_COALITIONS)],
+                         ids=["expand", "dual", "expand-coalitions"])
+def test_conversion_over_box_cap_exits_3(capsys, monkeypatch, command, game):
+    assert_one_error_line(*run(capsys, [command, "-"], game, monkeypatch), exit_code=3)
 
 
 @pytest.mark.parametrize("rows", [[], ["--rows", "1"]], ids=["all-rows", "rows-1"])

@@ -293,8 +293,12 @@ def test_role_filters_match_per_matrix_predicates():
 def test_catalog_roles_match_reference():
     for n in range(1, 8):
         for t in range(1, n + 1):
+            e1 = (1,) + (0,) * (t - 1)
             for sizes, matrix, present in catalog_with_roles(n, t):
                 assert present == present_roles_raw(sizes, matrix), (sizes, matrix)
+                # both sides read the dictator off passer and vetoer; check it apart
+                dictator = sizes[0] == 1 and matrix == (e1,)
+                assert (Role.DICTATOR in present) == dictator, (sizes, matrix)
 
 
 def test_filtered_reference_tables():

@@ -211,6 +211,12 @@ def test_expand_caps_the_player_count():
         expand(inv((70,), [[70]]))
 
 
+def test_expand_caps_the_coalition_count():
+    # a 65-profile box whose one profile stands for C(64, 32) coalitions
+    with pytest.raises(CapacityError, match=f"more than {WINNING_SET_CAP} minimal winning"):
+        expand(inv((64,), [[32]]))
+
+
 def test_monotone_closure_of_winning_set():
     wins = {p.counts for p in winning_profiles(EX2)}
     for counts in wins:
