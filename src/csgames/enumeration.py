@@ -6,12 +6,11 @@ the delta order, so every valid (n_bar, M) pair is produced exactly once and
 already in canonical form.  Candidate rows, their pairwise comparabilities and
 their separation bits are precomputed per box as bitmasks.  Role filters ride
 in the search's accumulator as per-row win bits, decided at a leaf by a memo.
-Counts never walk the stream.  Unfiltered counts, and counts that require only
-a vetoer and/or a null, skip the search: a memoized one-sum recurrence over
-each antichain's lex-largest row counts the antichains of the allowed rows.
-Every other filter and row count runs the search with its subtrees memoized
-on (allowed rows, accumulated bits, rows left); single-row counts walk the
-product of a lone row's ranges.
+Counts never walk the stream.  One memoized one-sum over each antichain's
+lex-largest row counts the antichains of the allowed rows, carrying the role
+bits no row has set yet and the rows still allowed when the spec needs them;
+inclusion-exclusion over the class boundaries keeps the games.  Single-row
+counts walk the product of a lone row's ranges.
 """
 
 from __future__ import annotations
@@ -188,110 +187,73 @@ def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
     return mask
 
 
-@lru_cache(maxsize=1)
-def _antichain_counter(sizes: tuple[int, ...]):
-    """A(q): the antichains, the empty one too, among the rows in mask q.
+def _counter(spec: EnumSpec, sizes: tuple[int, ...]):
+    """count(q): the nonempty antichains of the rows in mask q (within
+    ``_required_rows``) whose lex-largest row starts positive, that have the
+    spec's row count and whose rows together pass its role filters.
 
-    ``incomp_after[x]`` holds only rows after x, so a nonempty antichain of q
-    has one lex-largest row x and its other rows form an antichain of
-    q ∩ incomp_after[x]: A(q) = 1 + Σ_{x ∈ q} A(q ∩ incomp_after[x]).  The memo
-    keeps only the row sets the sum reaches.  One composition's memo.
+    ``incomp_after[x]`` holds only rows after x, so an antichain with
+    lex-largest row x is x plus an antichain of q ∩ incomp_after[x].  A memo
+    state is one int: the row set q, above it the role bits no row has set
+    yet, above those the rows still allowed.  Adding x takes one row off and
+    clears x's role bits, so the antichains a state may still add number
+    E(state) = [own] + Σ_{x∈q} E((state − step) & table[x]), where [own] says
+    no rows are left and the bits set so far pass the filters; below the
+    last row the row set is dropped, since only the role bits matter there.
+    ``_required_rows`` decides a vetoer and a null exactly, so specs that
+    require only those, and unfiltered ones, track no role bits.  One memo
+    per call, shared by its queries.
     """
-    inc = _prepare(sizes).incomp_after
-    memo = {0: 1}
+    prep = _prepare(sizes)
+    box = len(prep.rows)
+    if spec.forbid or not spec.require <= {Role.VETOER, Role.NULL}:
+        unit = _roles(sizes).nonzero_last << 1  # one row left, above every key bit
+        bits = _row_bits(sizes)
+        keep = _keep(sizes, spec.require, spec.forbid)
+    else:
+        unit, bits, keep = 1, itertools.repeat(0), {0: True}
+    key_bits = unit - 1
+    role_bits = key_bits & ~prep.full
+    rows_left = spec.rows or 0
+    shift = box + unit.bit_length() - 1  # the rows-left field
+    step = 1 << shift if rows_left else 0
+    high = (unit << rows_left.bit_length()) - 1 << box
+    table = prep.incomp_after
+    if high:
+        table = [i | high & ~(b << box) for i, b in zip(table, bits)]
+    start = (role_bits | rows_left * unit) << box
+    starts = (1 << prep.first_count) - 1
+    every_row = (1 << box) - 1
+    memo = {}
 
     def count(q: int) -> int:
-        if q in memo:
-            return memo[q]
-        # explicit: the recursion gets as deep as the longest antichain
-        stack = [(q, q, 1)]  # (row set, its rows still to add, running total)
+        # explicit: the recursion gets as deep as the longest antichain;
+        # the top frame adds only rows that start positive and is not memoized
+        top = q | start
+        base, todo, total = top - step, q & starts, 0
+        stack = []  # frames to resume: (state, its children before & table[x], rows to add, total)
         while True:
-            top, todo, total = stack.pop()
             while todo:
                 low = todo & -todo
-                inner = top & inc[low.bit_length() - 1]
-                if inner not in memo:  # resume here once inner is counted
-                    stack += ((top, todo, total), (inner, inner, 1))
-                    break
-                total += memo[inner]
-                todo ^= low
-            else:
-                memo[top] = total
-                if not stack:
-                    return total
-
-    return count
-
-
-def _count_by_antichains(sizes: tuple[int, ...], require: frozenset = frozenset()) -> int:
-    """Games of one composition, unfiltered or with a required vetoer and/or
-    null, counted without building them.
-
-    A game is a nonempty antichain whose lex-largest row starts positive and
-    that separates every boundary; with a required vetoer or null its rows lie
-    in ``_required_rows``.  Inclusion-exclusion runs over the sets S of
-    boundaries, each term counting the antichains whose rows separate no
-    boundary in S, less those whose rows all start with 0.
-    """
-    prep = _prepare(sizes)
-    every = _required_rows(sizes, require)
-    zero_first = every >> prep.first_count << prep.first_count
-    terms = [(1, 0)]  # (sign, rows separating some boundary of S)
-    for _, separating in delta_table(sizes).delta_steps[:-1]:
-        terms += [(-sign, rows | separating) for sign, rows in terms]
-    count = _antichain_counter(sizes)
-    return sum(sign * (count(every & ~rows) - count(zero_first & ~rows)) for sign, rows in terms)
-
-
-def _count_by_search(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
-    """Games of one composition under any role filter or row limit, counted
-    by the search of ``_shard_matrices`` with its subtrees memoized.
-
-    Below the first row, a node's subtree depends only on the rows it may
-    still add (q), the bits accumulated so far (s; unfiltered, only the
-    separation bits) and the rows the spec still allows (left): the leaf test
-    reads s | bits[x] and left, the child mask q and the suffix prune q and
-    s | bits[x].  So the extensions E(q, s, left) number
-    Σ_{x∈q} [leaf(s | bits[x], left)] + E(q ∩ incomp_after[x], s | bits[x], left − 1),
-    memoized for this one composition.  The top level walks the allowed rows
-    that start positive.  The leaf test, child mask and prune repeat
-    ``_shard_matrices``'s inline: a shared helper call per node slowed the
-    (8,4) stream by about 20%.
-    """
-    prep = _prepare(sizes)
-    inc, suf, full, box = prep.incomp_after, prep.suffix_sat, prep.full, len(prep.rows)
-    bits = _row_bits(sizes) if spec.filtered else prep.sat
-    left_unit = _roles(sizes).nonzero_last << 1  # one row left, above every key bit
-    keep = _keep(sizes, spec.require, spec.forbid)
-    step = 1 if spec.rows else 0  # left = rows still allowed; 0: no limit
-    allowed = _required_rows(sizes, spec.require)
-    memo = {}
-    # explicit: the recursion gets as deep as the longest antichain
-    # frame: (memo key, row set q, bits s, left, rows of q still to add, total)
-    stack = [(None, allowed, 0, spec.rows or 0, allowed & (1 << prep.first_count) - 1, 0)]
-    while True:
-        key, q, s, left, todo, total = stack.pop()
-        while todo:
-            low = todo & -todo
-            x = low.bit_length() - 1
-            s2 = s | bits[x]
-            if left != 1:
-                child = q & inc[x]
-                if child and not (full & ~s2) & ~suf[(child & -child).bit_length() - 1]:
-                    inner = (s2 + (left - step) * left_unit) << box | child
-                    sub = memo.get(inner)
-                    if sub is None:  # resume at x once the child is counted
-                        stack += ((key, q, s, left, todo, total),
-                                  (inner, child, s2, left - step, child, 0))
-                        break
-                    total += sub
-            if s2 & full == full and left <= 1 and keep[s2]:
-                total += 1
-            todo ^= low
-        else:
+                inner = base & table[low.bit_length() - 1]
+                if inner in memo:
+                    total += memo[inner]
+                    todo ^= low
+                    continue
+                stack.append((top, base, todo, total))  # resume here once inner is counted
+                top, left = inner, inner >> shift
+                if left:  # below the last row only the role bits matter
+                    base = inner - step if left > 1 else (inner - step) >> box << box
+                    todo, total = inner & every_row, 0
+                else:
+                    base, todo = inner, 0 if step else inner & every_row
+                    total = int(keep[key_bits ^ (inner >> box & role_bits)])
             if not stack:
                 return total
-            memo[key] = total
+            memo[top] = total
+            top, base, todo, total = stack.pop()
+
+    return count
 
 
 def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
@@ -386,14 +348,21 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
 
 
 def _count_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
-    # a lone row skips _prepare's box² table; ``_required_rows`` decides a vetoer
-    # and a null exactly, so they count on its mask, where the antichain counter,
-    # blind to role bits, beats the memoized search by about 2x
+    """Games of one composition, counted without building them.
+
+    A game is an antichain counted by ``_counter`` that separates every
+    boundary.  Inclusion-exclusion runs over the sets S of boundaries, each
+    term counting on the rows that separate no boundary in S.  A lone row
+    skips ``_prepare``'s box² table.
+    """
     if spec.rows == 1:
         return sum(1 for _ in _single_row_games(spec, sizes))
-    if spec.rows is None and not spec.forbid and spec.require <= {Role.VETOER, Role.NULL}:
-        return _count_by_antichains(sizes, spec.require)
-    return _count_by_search(spec, sizes)
+    count = _counter(spec, sizes)  # first: its _prepare checks the box cap
+    every = _required_rows(sizes, spec.require)
+    terms = [(1, 0)]  # (sign, rows separating some boundary of S)
+    for _, separating in delta_table(sizes).delta_steps[:-1]:
+        terms += [(-sign, rows | separating) for sign, rows in terms]
+    return sum(sign * count(every & ~rows) for sign, rows in terms)
 
 
 def _pairs_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> list:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from csgames import enumeration, roles
 from csgames.enumeration import (
     EnumSpec,
-    _antichain_counter,
-    _count_by_antichains,
+    _count_shard,
+    _counter,
     _prepare,
     _required_rows,
     _shard_matrices,
@@ -118,7 +118,7 @@ def test_veto_filter_n3():
 
 
 def _assert_count_equals_stream_length(specs):
-    # the counters against the one search, at one and two workers
+    # the counter against the one search, at one and two workers
     for spec in specs:
         streamed = sum(1 for _ in raw_pairs(spec))
         assert count_games(spec) == count_games(spec, jobs=2) == streamed, spec
@@ -132,9 +132,9 @@ def test_count_equals_stream_length():
     _assert_count_equals_stream_length(
         EnumSpec(n=n, t=t, require=require) for n in range(1, 9) for t in range(1, n + 1)
         for require in ({Role.VETOER}, {Role.NULL}, {Role.VETOER, Role.NULL}))
-    # every other filter and row limit is counted by the memoized search: against
-    # each (n, t)'s catalog, which is the stream with every game's present roles,
-    # and against the filtered streams themselves at (7, 4)
+    # every other filter and row limit carries role bits or rows left in the
+    # counter's state: against each (n, t)'s catalog, which is the stream with
+    # every game's present roles, and against the filtered streams at (7, 4)
     for n in range(1, 8):
         for t in range(1, n + 1):
             catalog = catalog_with_roles(n, t)
@@ -158,12 +158,12 @@ def test_count_by_antichains_per_composition():
         for t in range(1, n + 1):
             spec = EnumSpec(n=n, t=t)
             for sizes in compositions(n, t):
-                assert _count_by_antichains(sizes) == sum(1 for _ in _shard_matrices(spec, sizes)), sizes
+                assert _count_shard(spec, sizes) == sum(1 for _ in _shard_matrices(spec, sizes)), sizes
 
 
 @st.composite
 def counter_queries(draw):
-    # a composition whose box holds at most 16 rows, and row masks over that box
+    # a spec, a composition whose box holds at most 16 rows, and row masks over that box
     sizes, budget = [], 16
     for _ in range(draw(st.integers(1, 4))):
         if budget < 2:
@@ -173,28 +173,38 @@ def counter_queries(draw):
     box = prod(s + 1 for s in sizes)
     masks = st.lists(st.booleans(), min_size=box, max_size=box).map(
         lambda bits: sum(bit << i for i, bit in enumerate(bits)))
-    return tuple(sizes), draw(st.lists(masks, min_size=1, max_size=4))
+    spec = EnumSpec(n=sum(sizes), t=len(sizes), rows=draw(st.sampled_from([None, 1, 2, 3])),
+                    **draw(st.sampled_from([{}] + FILTERS)))
+    return spec, tuple(sizes), draw(st.lists(masks, min_size=1, max_size=4))
 
 
-def _antichains_brute_force(sizes, q):
-    # every subset of the rows in q whose rows are pairwise incomparable in the delta order
-    rows = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
-    prefixes = [tuple(itertools.accumulate(rows[i])) for i in range(len(rows)) if q >> i & 1]
+def _antichains_brute_force(spec, sizes, q):
+    # every subset of the rows in q that is nonempty, has the spec's row count, has
+    # pairwise incomparable rows in the delta order, starts positive in its
+    # lex-largest row and whose present roles pass the spec's filters
+    rows = [row for i, row in enumerate(itertools.product(*(range(s, -1, -1) for s in sizes)))
+            if q >> i & 1]
+    prefixes = [tuple(itertools.accumulate(row)) for row in rows]
     comparable = [[all(x >= y for x, y in zip(a, b)) or all(y >= x for x, y in zip(a, b))
                    for b in prefixes] for a in prefixes]
-    return sum(
-        all(not comparable[a][b] for a, b in itertools.combinations(subset, 2))
-        for k in range(len(prefixes) + 1)
-        for subset in itertools.combinations(range(len(prefixes)), k))
+    total = 0
+    for k in range(1, len(rows) + 1) if spec.rows is None else (spec.rows,):
+        for subset in itertools.combinations(range(len(rows)), k):
+            if rows[subset[0]][0] > 0 and not any(
+                    comparable[a][b] for a, b in itertools.combinations(subset, 2)):
+                present = present_roles_raw(sizes, [rows[i] for i in subset])
+                total += spec.require <= present and not spec.forbid & present
+    return total
 
 
 @settings(max_examples=200, deadline=None)
 @given(counter_queries())
 def test_antichain_counter_matches_brute_force(query):
-    sizes, masks = query
-    count = _antichain_counter(sizes)
+    spec, sizes, masks = query
+    count = _counter(spec, sizes)
     for q in masks:
-        assert count(q) == _antichains_brute_force(sizes, q), (sizes, q)
+        q &= _required_rows(sizes, spec.require)
+        assert count(q) == _antichains_brute_force(spec, sizes, q), (spec, sizes, q)
 
 
 def _single_rows_reference(sizes):
@@ -379,6 +389,21 @@ def test_row_restricted_counts():
             direct = count_games(EnumSpec(n=6, t=t, rows=r))
             bucketed = sum(1 for g in enumerate_invariants(EnumSpec(n=6, t=t)) if g.r == r)
             assert direct == bucketed
+
+
+@pytest.mark.parametrize("spec", [
+    EnumSpec(n=8, t=4),
+    EnumSpec(n=11, t=3, forbid={Role.SEMI_VETOER}),
+    EnumSpec(n=8, t=3, require={Role.SEMI_VETOER}),
+], ids=["8-4", "11-3-forbid-semi-vetoer", "8-3-require-semi-vetoer"])
+def test_row_limited_counts_sum_to_the_total(spec):
+    # rows-left fields of 1 to 4 bits, above the row set alone (8-4) or above role bits
+    total, by_rows = count_games(spec), 0
+    for r in range(1, 65):
+        by_rows += count_games(EnumSpec(spec.n, spec.t, rows=r, require=spec.require, forbid=spec.forbid))
+        if by_rows >= total:
+            break
+    assert by_rows == total, (spec, r)
 
 
 def test_count_by_rows_table():
