@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from . import formulas
 from .checks import SUITES
 from .core import SimpleGame, WeightedRepresentation, from_weighted
-from .enumeration import EnumSpec, count_games, enumerate_invariants
+from .enumeration import EnumSpec, count_games, count_rows, enumerate_invariants
 from .errors import CapacityError, GameError
 from .invariants import Invariants, expand, extract
 from .roles import Role, semantic_roles, structural_roles
@@ -146,14 +146,10 @@ def _cmd_enumerate(args) -> int:
         print(count_games(spec, jobs=args.jobs))
         return EXIT_OK
     if args.format == "csv":
-        by_rows: dict[int, int] = {}
-        for inv in enumerate_invariants(spec, jobs=args.jobs):
-            r = len(inv.matrix)
-            by_rows[r] = by_rows.get(r, 0) + 1
-        filt = _filter_label(spec)
+        by_rows, filt = count_rows(spec, jobs=args.jobs), _filter_label(spec)
         print("n,t,r,filter,count")
-        for r in sorted(by_rows):
-            print(f"{args.n},{args.t},{r},{filt},{by_rows[r]}")
+        for r, games in by_rows.items():
+            print(f"{args.n},{args.t},{r},{filt},{games}")
         return EXIT_OK
     for line in _invariants_lines(enumerate_invariants(spec, jobs=args.jobs)):
         print(line)

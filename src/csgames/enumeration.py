@@ -7,16 +7,17 @@ already in canonical form.  Candidate rows, their pairwise comparabilities and
 their separation bits are precomputed per box as bitmasks.  Role filters ride
 in the search's accumulator as per-row win bits, decided at a leaf by a memo.
 Counts never walk the stream.  One memoized one-sum over each antichain's
-lex-largest row counts the antichains of the allowed rows, carrying the role
-bits no row has set yet and the rows still allowed when the spec needs them;
-inclusion-exclusion over the class boundaries keeps the games.  Single-row
-counts walk the product of a lone row's ranges.
+lex-largest row counts the antichains of the allowed rows by size, carrying
+the role bits no row has set yet when the spec needs them; inclusion-exclusion
+over the class boundaries keeps the games.  Single-row counts walk the
+product of a lone row's ranges.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -187,71 +188,58 @@ def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
     return mask
 
 
-def _counter(spec: EnumSpec, sizes: tuple[int, ...]):
+def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     """count(q): the nonempty antichains of the rows in mask q (within
-    ``_required_rows``) whose lex-largest row starts positive, that have the
-    spec's row count and whose rows together pass its role filters.
+    ``_required_rows``) that start positive in their lex-largest row and pass
+    the spec's role filters, as Σ_k c_k << k·width by size k; width 0 sums
+    every size, whatever ``spec.rows``.
 
     ``incomp_after[x]`` holds only rows after x, so an antichain with
     lex-largest row x is x plus an antichain of q ∩ incomp_after[x].  A memo
-    state is one int: the row set q, above it the role bits no row has set
-    yet, above those the rows still allowed.  Adding x takes one row off and
-    clears x's role bits, so the antichains a state may still add number
-    E(state) = [own] + Σ_{x∈q} E((state − step) & table[x]), where [own] says
-    no rows are left and the bits set so far pass the filters; below the
-    last row the row set is dropped, since only the role bits matter there.
-    ``_required_rows`` decides a vetoer and a null exactly, so specs that
-    require only those, and unfiltered ones, track no role bits.  One memo
-    per call, shared by its queries.
+    state is one int: the row set q, above it the role bits no row has set yet.
+    With z marking a row, a state may still add E(state) = [own] +
+    z·Σ_{x∈q} E(state & table[x]), where [own] says the bits set so far pass
+    the filters; the memo holds z·E(state), cut above degree ``spec.rows`` if
+    that is below the box size.  ``_required_rows`` decides a vetoer and a
+    null exactly, so specs that require only those, and unfiltered ones, track
+    no role bits.  One memo per call, shared by its queries.
     """
     prep = _prepare(sizes)
     box = len(prep.rows)
     if spec.forbid or not spec.require <= {Role.VETOER, Role.NULL}:
-        unit = _roles(sizes).nonzero_last << 1  # one row left, above every key bit
-        bits = _row_bits(sizes)
+        key_bits = (_roles(sizes).nonzero_last << 1) - 1
         keep = _keep(sizes, spec.require, spec.forbid)
+        table = [i | (key_bits & ~b) << box for i, b in zip(prep.incomp_after, _row_bits(sizes))]
     else:
-        unit, bits, keep = 1, itertools.repeat(0), {0: True}
-    key_bits = unit - 1
+        key_bits, keep, table = 0, {0: True}, prep.incomp_after
     role_bits = key_bits & ~prep.full
-    rows_left = spec.rows or 0
-    shift = box + unit.bit_length() - 1  # the rows-left field
-    step = 1 << shift if rows_left else 0
-    high = (unit << rows_left.bit_length()) - 1 << box
-    table = prep.incomp_after
-    if high:
-        table = [i | high & ~(b << box) for i, b in zip(table, bits)]
-    start = (role_bits | rows_left * unit) << box
+    start = role_bits << box
     starts = (1 << prep.first_count) - 1
     every_row = (1 << box) - 1
+    cut = width and spec.rows is not None and spec.rows < box
+    mask = (1 << (spec.rows + 1) * width) - 1 if cut else -1
     memo = {}
 
     def count(q: int) -> int:
         # explicit: the recursion gets as deep as the longest antichain;
         # the top frame adds only rows that start positive and is not memoized
-        top = q | start
-        base, todo, total = top - step, q & starts, 0
-        stack = []  # frames to resume: (state, its children before & table[x], rows to add, total)
+        top, todo, total = q | start, q & starts, 0
+        stack = []  # frames to resume: (state, its rows to add, total)
         while True:
             while todo:
                 low = todo & -todo
-                inner = base & table[low.bit_length() - 1]
+                inner = top & table[low.bit_length() - 1]
                 if inner in memo:
                     total += memo[inner]
                     todo ^= low
                     continue
-                stack.append((top, base, todo, total))  # resume here once inner is counted
-                top, left = inner, inner >> shift
-                if left:  # below the last row only the role bits matter
-                    base = inner - step if left > 1 else (inner - step) >> box << box
-                    todo, total = inner & every_row, 0
-                else:
-                    base, todo = inner, 0 if step else inner & every_row
-                    total = int(keep[key_bits ^ (inner >> box & role_bits)])
+                stack.append((top, todo, total))  # resume here once inner is counted
+                top, todo = inner, inner & every_row
+                total = int(keep[key_bits ^ (inner >> box & role_bits)])
             if not stack:
                 return total
-            memo[top] = total
-            top, base, todo, total = stack.pop()
+            memo[top] = total << width & mask
+            top, todo, total = stack.pop()
 
     return count
 
@@ -347,22 +335,32 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
         yield from pool.map(work, shards, chunksize=max(1, len(shards) // (jobs * 8)))
 
 
-def _count_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> int:
-    """Games of one composition, counted without building them.
+def _count_shard(spec: EnumSpec, sizes: tuple[int, ...], width: int = 0) -> int:
+    """Games of one composition, graded as ``_counter``'s, without building them.
 
     A game is an antichain counted by ``_counter`` that separates every
     boundary.  Inclusion-exclusion runs over the sets S of boundaries, each
-    term counting on the rows that separate no boundary in S.  A lone row
-    skips ``_prepare``'s box² table.
+    term counting on the rows that separate no boundary in S.  The signed sum
+    of graded terms is exact, since every final grade lies in [0, 2^width).
+    A lone row skips ``_prepare``'s box² table.
     """
     if spec.rows == 1:
-        return sum(1 for _ in _single_row_games(spec, sizes))
-    count = _counter(spec, sizes)  # first: its _prepare checks the box cap
+        return sum(1 for _ in _single_row_games(spec, sizes)) << width
+    count = _counter(spec, sizes, width)  # first: its _prepare checks the box cap
     every = _required_rows(sizes, spec.require)
     terms = [(1, 0)]  # (sign, rows separating some boundary of S)
     for _, separating in delta_table(sizes).delta_steps[:-1]:
         terms += [(-sign, rows | separating) for sign, rows in terms]
     return sum(sign * count(every & ~rows) for sign, rows in terms)
+
+
+def _rows_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> Counter:
+    """Games of one composition by row count, nonzero counts only.  No antichain
+    has more rows than the box or a count above 2^box, so box + 1 bits keep grades apart."""
+    width = prod(s + 1 for s in sizes) + 1
+    graded, grade = _count_shard(spec, sizes, width), (1 << width) - 1
+    grades = (graded >> r * width & grade for r in range(graded.bit_length() // width + 1))
+    return Counter({r: games for r, games in enumerate(grades) if games and spec.rows in (None, r)})
 
 
 def _pairs_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> list:
@@ -397,17 +395,21 @@ def enumerate_invariants(spec: EnumSpec, jobs: int = 1) -> Iterator[Invariants]:
 
 def count_games(spec: EnumSpec, jobs: int = 1) -> int:
     """Exact number of games matching the spec; shard counts merge by addition."""
-    return sum(_map_shards(_count_shard, spec, jobs))
+    if spec.rows in (None, 1):
+        return sum(_map_shards(_count_shard, spec, jobs))
+    return sum(count_rows(spec, jobs).values())
+
+
+def count_rows(spec: EnumSpec, jobs: int = 1) -> dict[int, int]:
+    """Exact number of games matching the spec by row count r, nonzero counts only."""
+    table = sum(_map_shards(_rows_shard, spec, jobs), Counter())
+    return dict(sorted(table.items()))
 
 
 def count_by_rows(n: int, t_max: int | None = None) -> dict[tuple[int, int], int]:
-    """Exact counts for each (t, r) cell with t <= t_max (default n); practical for small n only."""
-    table: dict[tuple[int, int], int] = {}
-    for t in range(1, (n if t_max is None else min(t_max, n)) + 1):
-        for comp, matrix in raw_pairs(EnumSpec(n=n, t=t)):
-            key = (t, len(matrix))
-            table[key] = table.get(key, 0) + 1
-    return table
+    """Exact counts for each nonzero (t, r) cell with t <= t_max (default n)."""
+    return {(t, r): games for t in range(1, (n if t_max is None else min(t_max, n)) + 1)
+            for r, games in count_rows(EnumSpec(n=n, t=t)).items()}
 
 
 def catalog_with_roles(n: int, t: int, jobs: int = 1):

@@ -315,6 +315,15 @@ def test_enumerate_csv_table(capsys):
     assert "3,2,2,none,1" in lines
 
 
+def test_huge_rows_count_nothing(capsys):
+    # no antichain has more rows than its box, so the graded counter cuts nothing
+    code, out, _ = run(capsys, ["count", "--n", "8", "--t", "4", "--rows", "1000000000"])
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(capsys, ["enumerate", "--n", "8", "--t", "4", "--rows", "1000000000",
+                                "--format", "csv"])
+    assert code == 0 and out == "n,t,r,filter,count\n"
+
+
 def test_count_plain_and_csv(capsys):
     code, out, _ = run(capsys, ["count", "--n", "6", "--t", "3"])
     assert code == 0
@@ -386,10 +395,16 @@ def test_conversion_over_box_cap_exits_3(capsys, monkeypatch, command, game):
     assert_one_error_line(*run(capsys, [command, "-"], game, monkeypatch), exit_code=3)
 
 
-@pytest.mark.parametrize("rows", [[], ["--rows", "1"]], ids=["all-rows", "rows-1"])
+@pytest.mark.parametrize("rows", [[], ["--rows", "1"], ["--rows", "2"]], ids=["all-rows", "rows-1", "rows-2"])
 def test_count_over_box_cap_exits_3(capsys, rows):
     # the one composition of 31 into 31 parts has a box of 2^31 profiles
     assert_one_error_line(*run(capsys, ["count", "--n", "31", "--t", "31", *rows]), exit_code=3)
+
+
+def test_enumerate_csv_over_box_cap_exits_3(capsys):
+    # the table is counted before its header is printed
+    assert_one_error_line(*run(capsys, ["enumerate", "--n", "31", "--t", "31", "--format", "csv"]),
+                          exit_code=3)
 
 
 EMPTY_SUITES = {"bijections": "1", "sequences": "-5", "duality": "0", "oracle": "0", "rows": "0"}

@@ -19,6 +19,7 @@ from csgames.enumeration import (
     compositions,
     count_by_rows,
     count_games,
+    count_rows,
     enumerate_invariants,
     raw_pairs,
 )
@@ -132,8 +133,8 @@ def test_count_equals_stream_length():
     _assert_count_equals_stream_length(
         EnumSpec(n=n, t=t, require=require) for n in range(1, 9) for t in range(1, n + 1)
         for require in ({Role.VETOER}, {Role.NULL}, {Role.VETOER, Role.NULL}))
-    # every other filter and row limit carries role bits or rows left in the
-    # counter's state: against each (n, t)'s catalog, which is the stream with
+    # every other filter carries role bits in the counter's state, and a row
+    # limit cuts its grades: against each (n, t)'s catalog, which is the stream with
     # every game's present roles, and against the filtered streams at (7, 4)
     for n in range(1, 8):
         for t in range(1, n + 1):
@@ -179,32 +180,39 @@ def counter_queries(draw):
 
 
 def _antichains_brute_force(spec, sizes, q):
-    # every subset of the rows in q that is nonempty, has the spec's row count, has
-    # pairwise incomparable rows in the delta order, starts positive in its
-    # lex-largest row and whose present roles pass the spec's filters
+    # by size k: the subsets of the rows in q that are nonempty, have pairwise
+    # incomparable rows in the delta order, start positive in their lex-largest
+    # row and whose present roles pass the spec's filters
     rows = [row for i, row in enumerate(itertools.product(*(range(s, -1, -1) for s in sizes)))
             if q >> i & 1]
     prefixes = [tuple(itertools.accumulate(row)) for row in rows]
     comparable = [[all(x >= y for x, y in zip(a, b)) or all(y >= x for x, y in zip(a, b))
                    for b in prefixes] for a in prefixes]
-    total = 0
-    for k in range(1, len(rows) + 1) if spec.rows is None else (spec.rows,):
+    by_size = {}
+    for k in range(1, len(rows) + 1):
         for subset in itertools.combinations(range(len(rows)), k):
             if rows[subset[0]][0] > 0 and not any(
                     comparable[a][b] for a, b in itertools.combinations(subset, 2)):
                 present = present_roles_raw(sizes, [rows[i] for i in subset])
-                total += spec.require <= present and not spec.forbid & present
-    return total
+                by_size[k] = by_size.get(k, 0) + (spec.require <= present and not spec.forbid & present)
+    return by_size
 
 
 @settings(max_examples=200, deadline=None)
 @given(counter_queries())
 def test_antichain_counter_matches_brute_force(query):
+    # every grade at width box + 1, cut above spec.rows when that is below the
+    # box size, and their sum at width 0
     spec, sizes, masks = query
-    count = _counter(spec, sizes)
+    box = prod(s + 1 for s in sizes)
+    width = box + 1
+    graded, summed = _counter(spec, sizes, width), _counter(spec, sizes, 0)
     for q in masks:
         q &= _required_rows(sizes, spec.require)
-        assert count(q) == _antichains_brute_force(spec, sizes, q), (spec, sizes, q)
+        by_size = _antichains_brute_force(spec, sizes, q)
+        kept = {k: c for k, c in by_size.items() if spec.rows is None or spec.rows >= box or k <= spec.rows}
+        assert graded(q) == sum(c << k * width for k, c in kept.items()), (spec, sizes, q)
+        assert summed(q) == sum(by_size.values()), (spec, sizes, q)
 
 
 def _single_rows_reference(sizes):
@@ -397,7 +405,8 @@ def test_row_restricted_counts():
     EnumSpec(n=8, t=3, require={Role.SEMI_VETOER}),
 ], ids=["8-4", "11-3-forbid-semi-vetoer", "8-3-require-semi-vetoer"])
 def test_row_limited_counts_sum_to_the_total(spec):
-    # rows-left fields of 1 to 4 bits, above the row set alone (8-4) or above role bits
+    # each row count cut from the graded counter at its own degree, on the row
+    # set alone (8-4) or with role bits
     total, by_rows = count_games(spec), 0
     for r in range(1, 65):
         by_rows += count_games(EnumSpec(spec.n, spec.t, rows=r, require=spec.require, forbid=spec.forbid))
@@ -420,6 +429,36 @@ def test_count_by_rows_table():
     assert count_by_rows(4, t_max=0) == {}
     assert count_by_rows(4, t_max=2) == {k: v for k, v in n4.items() if k[0] <= 2}
     assert count_by_rows(4, t_max=9) == n4
+
+
+def test_count_by_rows_matches_stream_tally():
+    for n in range(1, 8):
+        tally = {}
+        for t in range(1, n + 1):
+            for _, matrix in raw_pairs(EnumSpec(n=n, t=t)):
+                tally[t, len(matrix)] = tally.get((t, len(matrix)), 0) + 1
+        assert count_by_rows(n) == tally, n
+
+
+def test_count_by_rows_single_rows_and_total():
+    # the counter's r = 1 grades, summed over t, give every nonempty player
+    # count 1..n of a lone row; checks _single_rows independently
+    for n in range(1, 9):
+        table = count_by_rows(n)
+        assert sum(v for (t, r), v in table.items() if r == 1) == 2**n - 1, n
+    # an identity, not a published count: by rows and by class count alike
+    assert sum(table.values()) == sum(count_games(EnumSpec(8, t)) for t in range(1, 9)) == 16175188
+
+
+def test_count_rows_keeps_only_the_spec_row_count():
+    by_rows = count_rows(EnumSpec(8, 4))
+    assert all(by_rows.values()) and sum(by_rows.values()) == count_games(EnumSpec(8, 4))
+    for r in range(1, 12):
+        spec = EnumSpec(8, 4, rows=r)
+        assert count_rows(spec) == ({r: by_rows[r]} if r in by_rows else {}), r
+        assert count_rows(spec, jobs=2) == count_rows(spec)
+    # no antichain has more rows than the box, so a huge row count cuts nothing
+    assert count_rows(EnumSpec(8, 4, rows=10**9)) == {}
 
 
 def test_jobs_capped_by_compositions_and_cpus(monkeypatch):
