@@ -7,21 +7,20 @@ already in canonical form.  Candidate rows, their pairwise comparabilities and
 their separation bits are precomputed per box as bitmasks.  Role filters ride
 in the search's accumulator as per-row win bits, decided at a leaf by a memo.
 Counts never walk the stream.  One memoized one-sum over each antichain's
-lex-largest row counts the antichains of the allowed rows by size, carrying
-the role bits no row has set yet when the spec needs them; inclusion-exclusion
-over the class boundaries keeps the games.  Single-row counts walk the
-product of a lone row's ranges.
+lex-largest row counts the nonempty antichains of the allowed rows by size,
+carrying the role bits no row has set yet when the spec needs them; binomial
+weights on merges of the leading singleton classes keep the games.
+Single-row counts walk the product of a lone row's ranges.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import prod
+from math import comb, prod
 from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, ValidationError
@@ -80,16 +79,21 @@ class _Prep(NamedTuple):
     incomp_after: tuple[int, ...]
     sat: tuple[int, ...]
     suffix_sat: tuple[int, ...]
-    first_count: int
     full: int
+
+
+def _box(sizes: tuple[int, ...]) -> int:
+    """The candidate rows in a composition's profile box; CapacityError above ``BOX_CAP``."""
+    box = prod(s + 1 for s in sizes)
+    if box > BOX_CAP:
+        raise CapacityError(f"profile box holds {box} candidate rows (> {BOX_CAP})")
+    return box
 
 
 @lru_cache(maxsize=1024)
 def _prepare(sizes: tuple[int, ...]) -> _Prep:
     t = len(sizes)
-    box = prod(s + 1 for s in sizes)
-    if box > BOX_CAP:
-        raise CapacityError(f"profile box holds {box} candidate rows (> {BOX_CAP})")
+    box = _box(sizes)
     rows = tuple(itertools.product(*(range(s, -1, -1) for s in sizes)))
     full = (1 << (t - 1)) - 1 if t > 1 else 0
     sat = [sum(1 << k for k in range(t - 1) if r[k] > 0 and r[k + 1] < sizes[k + 1]) for r in rows]
@@ -105,8 +109,7 @@ def _prepare(sizes: tuple[int, ...]) -> _Prep:
         for k, v in enumerate(itertools.accumulate(row)):
             larger |= table.prefix_at_least(k, v + 1)
         incomp.append(larger >> (i + 1) << (i + 1))
-    first_count = sizes[0] * (box // (sizes[0] + 1))
-    return _Prep(rows, tuple(incomp), tuple(sat), tuple(suffix), first_count, full)
+    return _Prep(rows, tuple(incomp), tuple(sat), tuple(suffix), full)
 
 
 class _Roles(dict):
@@ -177,10 +180,10 @@ def _row_bits(sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
-    """The candidate rows a game with the required roles may use: a vetoer is
-    present iff every row has r_1 = n_1, and a null iff every row ends in 0."""
+    """The candidate rows a game with the required roles may use: never the zero
+    row (the last), as the empty coalition cannot win; r_1 = n_1 for a vetoer; r_t = 0 for a null."""
     delta = delta_table(sizes)
-    mask = delta.full
+    mask = delta.full >> 1
     if Role.VETOER in require:
         mask &= delta.class_at_least(0, sizes[0])
     if Role.NULL in require:
@@ -190,9 +193,8 @@ def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
 
 def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     """count(q): the nonempty antichains of the rows in mask q (within
-    ``_required_rows``) that start positive in their lex-largest row and pass
-    the spec's role filters, as Σ_k c_k << k·width by size k; width 0 sums
-    every size, whatever ``spec.rows``.
+    ``_required_rows``) that pass the spec's role filters, as
+    Σ_k c_k << k·width by size k; width 0 sums every size, whatever ``spec.rows``.
 
     ``incomp_after[x]`` holds only rows after x, so an antichain with
     lex-largest row x is x plus an antichain of q ∩ incomp_after[x].  A memo
@@ -214,16 +216,15 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
         key_bits, keep, table = 0, {0: True}, prep.incomp_after
     role_bits = key_bits & ~prep.full
     start = role_bits << box
-    starts = (1 << prep.first_count) - 1
     every_row = (1 << box) - 1
     cut = width and spec.rows is not None and spec.rows < box
     mask = (1 << (spec.rows + 1) * width) - 1 if cut else -1
     memo = {}
 
     def count(q: int) -> int:
-        # explicit: the recursion gets as deep as the longest antichain;
-        # the top frame adds only rows that start positive and is not memoized
-        top, todo, total = q | start, q & starts, 0
+        # explicit: the recursion gets as deep as the longest antichain; the
+        # top frame counts no empty antichain, so it is not memoized
+        top, todo, total = q | start, q, 0
         stack = []  # frames to resume: (state, its rows to add, total)
         while True:
             while todo:
@@ -250,9 +251,7 @@ def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
     A lone row must start positive and separate every class boundary by
     itself: r₁ ∈ [1, n₁], 0 < r_k < n_k in between and r_t ∈ [0, n_t − 1].
     """
-    box = prod(s + 1 for s in sizes)
-    if box > BOX_CAP:
-        raise CapacityError(f"profile box holds {box} candidate rows (> {BOX_CAP})")
+    _box(sizes)
     ranges = [range(s - 1, 0, -1) for s in sizes]
     ranges[0] = range(sizes[0], 0, -1)
     if len(sizes) > 1:
@@ -281,22 +280,21 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
 
     ``_roles(sizes)[key]`` is the matrix's present-role set.  A key ORs
     ``_row_bits`` over the matrix's rows, so a search node costs one OR.  The
-    search uses only the rows in ``_required_rows``, and its first row starts
-    positive.
+    search uses only the rows in ``_required_rows``; a first row with r₁ = 0 is
+    followed only by such rows, none separating boundary 1, so the prune cuts it.
     """
     if spec.rows == 1:
         yield from _single_row_games(spec, sizes)
         return
     prep = _prepare(sizes)
     rows, inc, suf, full = prep.rows, prep.incomp_after, prep.suffix_sat, prep.full
-    starts = (1 << prep.first_count) - 1
     bits = _row_bits(sizes)
     keep = _keep(sizes, spec.require, spec.forbid)
     row_limit = spec.rows
     chosen = []
 
     def rec(allowed: int, s: int, depth: int):
-        a = allowed if depth else allowed & starts
+        a = allowed
         while a:
             low = a & -a
             k = low.bit_length() - 1
@@ -336,31 +334,26 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
 
 
 def _count_shard(spec: EnumSpec, sizes: tuple[int, ...], width: int = 0) -> int:
-    """Games of one composition, graded as ``_counter``'s, without building them.
+    """One composition c's weighted share of the spec's games, graded as ``_counter``'s.
 
-    A game is an antichain counted by ``_counter`` that separates every
-    boundary.  Inclusion-exclusion runs over the sets S of boundaries, each
-    term counting on the rows that separate no boundary in S.  The signed sum
-    of graded terms is exact, since every final grade lies in [0, 2^width).
-    A lone row skips ``_prepare``'s box² table.
+    c's rows that separate no boundary in a set S map onto the box of c/S (those
+    boundaries merged), keeping the delta order, the row count and the roles, so
+    count(every & ~rows_S) is N(c/S).  The games of (n, t) are
+    Σ_{j≤t} (−1)^(t−j) C(n−j, t−j) Σ_{d∈comp(n,j)} N(d), and each d is c/S for
+    one pair whose S lies in c's leading singleton classes (its extra cuts are
+    the t − j smallest free gaps), so only those S are summed, with d's weight.  A lone
+    row skips ``_prepare``'s box² table and counts c's own games.
     """
     if spec.rows == 1:
         return sum(1 for _ in _single_row_games(spec, sizes)) << width
     count = _counter(spec, sizes, width)  # first: its _prepare checks the box cap
     every = _required_rows(sizes, spec.require)
-    terms = [(1, 0)]  # (sign, rows separating some boundary of S)
-    for _, separating in delta_table(sizes).delta_steps[:-1]:
-        terms += [(-sign, rows | separating) for sign, rows in terms]
-    return sum(sign * count(every & ~rows) for sign, rows in terms)
-
-
-def _rows_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> Counter:
-    """Games of one composition by row count, nonzero counts only.  No antichain
-    has more rows than the box or a count above 2^box, so box + 1 bits keep grades apart."""
-    width = prod(s + 1 for s in sizes) + 1
-    graded, grade = _count_shard(spec, sizes, width), (1 << width) - 1
-    grades = (graded >> r * width & grade for r in range(graded.bit_length() // width + 1))
-    return Counter({r: games for r, games in enumerate(grades) if games and spec.rows in (None, r)})
+    n, t = sum(sizes), len(sizes)
+    singles = next((k for k, s in enumerate(sizes[:t - 1]) if s > 1), t - 1)
+    terms = [(0, 0)]  # (|S|, rows separating some boundary of S)
+    for _, separating in delta_table(sizes).delta_steps[:singles]:
+        terms += [(k + 1, rows | separating) for k, rows in terms]
+    return sum((-1) ** k * comb(n - t + k, k) * count(every & ~rows) for k, rows in terms)
 
 
 def _pairs_shard(spec: EnumSpec, sizes: tuple[int, ...]) -> list:
@@ -401,9 +394,15 @@ def count_games(spec: EnumSpec, jobs: int = 1) -> int:
 
 
 def count_rows(spec: EnumSpec, jobs: int = 1) -> dict[int, int]:
-    """Exact number of games matching the spec by row count r, nonzero counts only."""
-    table = sum(_map_shards(_rows_shard, spec, jobs), Counter())
-    return dict(sorted(table.items()))
+    """Exact number of games matching the spec by row count r, nonzero counts only.  A shard
+    may be negative in a grade, so all are summed packed at one width: one count's grade stays
+    below 2^box, the balanced composition's box is the largest, and under 2^n compositions add up."""
+    q, extra = divmod(spec.n, spec.t)
+    width = _box((q + 1,) * extra + (q,) * (spec.t - extra)) + spec.n
+    packed = sum(_map_shards(partial(_count_shard, width=width), spec, jobs))
+    grade = (1 << width) - 1
+    grades = (packed >> r * width & grade for r in range(packed.bit_length() // width + 1))
+    return {r: games for r, games in enumerate(grades) if games and spec.rows in (None, r)}
 
 
 def count_by_rows(n: int, t_max: int | None = None) -> dict[tuple[int, int], int]:

@@ -407,6 +407,15 @@ def test_enumerate_csv_over_box_cap_exits_3(capsys):
                           exit_code=3)
 
 
+@pytest.mark.parametrize("argv", [["count", "--n", "40", "--t", "32", "--rows", "2"],
+                                  ["enumerate", "--n", "40", "--t", "32", "--format", "csv"]],
+                         ids=["count-rows-2", "enumerate-csv"])
+def test_row_table_width_over_box_cap_exits_3(capsys, argv):
+    # the row table's width comes from the balanced composition's box, so the cap
+    # fires before any of the 61,523,748 compositions is listed
+    assert_one_error_line(*run(capsys, argv), exit_code=3)
+
+
 EMPTY_SUITES = {"bijections": "1", "sequences": "-5", "duality": "0", "oracle": "0", "rows": "0"}
 
 

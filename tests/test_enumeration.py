@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 from math import prod
@@ -13,7 +14,6 @@ from csgames.enumeration import (
     _counter,
     _prepare,
     _required_rows,
-    _shard_matrices,
     _single_rows,
     catalog_with_roles,
     compositions,
@@ -59,7 +59,10 @@ def test_prepare_matches_pairwise_reference():
                 vetoer_rows = _required_rows(sizes, {Role.VETOER})
                 null_rows = _required_rows(sizes, {Role.NULL})
                 assert _required_rows(sizes, {Role.VETOER, Role.NULL}) == vetoer_rows & null_rows
-                assert _required_rows(sizes, {Role.PASSER}) == (1 << len(prep.rows)) - 1
+                # every row but the zero row, which is last: the empty coalition cannot win
+                assert _required_rows(sizes, {Role.PASSER}) == (1 << len(prep.rows) - 1) - 1
+                for require in [set(), *({role} for role in Role), {Role.VETOER, Role.NULL}]:
+                    assert not _required_rows(sizes, require) >> len(prep.rows) - 1 & 1, (sizes, require)
                 rows = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
                 assert list(prep.rows) == rows
                 prefixes = [tuple(itertools.accumulate(row)) for row in rows]
@@ -71,7 +74,7 @@ def test_prepare_matches_pairwise_reference():
                     separates = [k for k in range(t - 1) if row[k] > 0 and row[k + 1] < sizes[k + 1]]
                     assert prep.sat[i] == sum(1 << k for k in separates), (sizes, row)
                     assert vetoer_rows >> i & 1 == (row[0] == sizes[0])
-                    assert null_rows >> i & 1 == (row[-1] == 0)
+                    assert null_rows >> i & 1 == (row[-1] == 0 and any(row))
 
 
 def test_catalog_n3_t2_exact():
@@ -155,11 +158,50 @@ def test_count_equals_stream_length_stretch():
 
 
 def test_count_by_antichains_per_composition():
+    # a shard is one composition's weighted share, not its own games; the shards add up to them
     for n in range(1, 8):
         for t in range(1, n + 1):
             spec = EnumSpec(n=n, t=t)
+            shards = sum(_count_shard(spec, sizes) for sizes in compositions(n, t))
+            assert shards == sum(1 for _ in raw_pairs(spec)), (n, t)
+
+
+def _merge(sizes, boundaries):
+    # c/S: the classes on either side of each boundary in S joined
+    merged = [sizes[0]]
+    for k, size in enumerate(sizes[1:]):
+        if k in boundaries:
+            merged[-1] += size
+        else:
+            merged.append(size)
+    return tuple(merged)
+
+
+def test_counter_on_merged_boundaries_is_the_coarser_count():
+    # the rows of c that separate no boundary in S map onto the box of c/S, keeping
+    # the delta order, the row count and the roles: on c's table they count N(c/S)
+    own = {}  # N(d) on d's own table, by (d, filter, width)
+    for n in range(1, 8):
+        for t in range(1, n + 1):
             for sizes in compositions(n, t):
-                assert _count_shard(spec, sizes) == sum(1 for _ in _shard_matrices(spec, sizes)), sizes
+                box = prod(s + 1 for s in sizes)
+                steps = enumeration.delta_table(sizes).delta_steps[:-1]
+                for i, kw in enumerate([{}] + FILTERS):
+                    spec = EnumSpec(n=n, t=t, **kw)
+                    every = _required_rows(sizes, spec.require)
+                    for width in (0, box + 1):
+                        count = _counter(spec, sizes, width)
+                        for k in range(t):
+                            for merged in itertools.combinations(range(t - 1), k):
+                                rows = 0
+                                for b in merged:
+                                    rows |= steps[b][1]
+                                coarse = _merge(sizes, merged)
+                                if (coarse, i, width) not in own:
+                                    coarse_spec = EnumSpec(n=n, t=len(coarse), **kw)
+                                    own[coarse, i, width] = _counter(coarse_spec, coarse, width)(
+                                        _required_rows(coarse, spec.require))
+                                assert count(every & ~rows) == own[coarse, i, width], (sizes, merged, kw, width)
 
 
 @st.composite
@@ -181,8 +223,8 @@ def counter_queries(draw):
 
 def _antichains_brute_force(spec, sizes, q):
     # by size k: the subsets of the rows in q that are nonempty, have pairwise
-    # incomparable rows in the delta order, start positive in their lex-largest
-    # row and whose present roles pass the spec's filters
+    # incomparable rows in the delta order and whose present roles pass the
+    # spec's filters
     rows = [row for i, row in enumerate(itertools.product(*(range(s, -1, -1) for s in sizes)))
             if q >> i & 1]
     prefixes = [tuple(itertools.accumulate(row)) for row in rows]
@@ -191,8 +233,7 @@ def _antichains_brute_force(spec, sizes, q):
     by_size = {}
     for k in range(1, len(rows) + 1):
         for subset in itertools.combinations(range(len(rows)), k):
-            if rows[subset[0]][0] > 0 and not any(
-                    comparable[a][b] for a, b in itertools.combinations(subset, 2)):
+            if not any(comparable[a][b] for a, b in itertools.combinations(subset, 2)):
                 present = present_roles_raw(sizes, [rows[i] for i in subset])
                 by_size[k] = by_size.get(k, 0) + (spec.require <= present and not spec.forbid & present)
     return by_size
@@ -448,6 +489,21 @@ def test_count_by_rows_single_rows_and_total():
         assert sum(v for (t, r), v in table.items() if r == 1) == 2**n - 1, n
     # an identity, not a published count: by rows and by class count alike
     assert sum(table.values()) == sum(count_games(EnumSpec(8, t)) for t in range(1, 9)) == 16175188
+    # the whole n = 8 table, pinned as the per-composition boundary inclusion-exclusion
+    # counted it
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == "a1c0d974a8271270e503977cf6c64215f15cadd8f5d04af318f9ab1cdb3960fb"
+
+
+# the n = 9 row by t, pinned as the per-composition boundary inclusion-exclusion
+# counted it; its total matched one count on the singleton box, N(1^9)
+CG_N9 = (9, 485, 15769, 431440, 10158372, 201529876, 3158487949, 35874754170, 245187352104)
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
+def test_count_n9_row_stretch():
+    assert sum(CG_N9) == 284432730174
+    assert tuple(count_games(EnumSpec(9, t)) for t in range(1, 10)) == CG_N9
 
 
 def test_count_rows_keeps_only_the_spec_row_count():
