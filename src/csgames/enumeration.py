@@ -3,13 +3,16 @@
 For each class-size composition, matrices are grown row by row in strictly
 decreasing lexicographic order while keeping the rows pairwise incomparable in
 the delta order, so every valid (n_bar, M) pair is produced exactly once and
-already in canonical form.  Candidate rows, their pairwise comparabilities and
-their separation bits are precomputed per box as bitmasks.  Role filters ride
-in the search's accumulator as per-row win bits, decided at a leaf by a memo.
-Counts never walk the stream.  One memoized one-sum over each antichain's
-lex-largest row counts the nonempty antichains of the allowed rows by size,
-carrying the role bits no row has set yet when the spec needs them; binomial
-weights on merges of the leading singleton classes keep the games.
+already in canonical form.  Candidate rows, their incomparabilities (from the
+lower covers of the delta order) and their separation bits are precomputed per
+composition as bitmasks.  A required vetoer fixes r₁ = n₁ and a required null
+r_t = 0, so only the free classes' box is listed.  Role filters ride in the
+search's accumulator as per-row win bits, decided at a leaf by masks of
+``roles.role_conditions``.  Counts never walk the stream.  One memoized
+one-sum over each antichain's lex-largest row counts the nonempty antichains
+of the allowed rows by size, carrying the win bits that the other named roles
+read and no row has set yet; binomial weights on merges of the leading
+singleton classes keep the games.
 Single-row counts walk the product of a lone row's ranges.
 """
 
@@ -26,7 +29,7 @@ from typing import Iterator, NamedTuple
 from .errors import CapacityError, ValidationError
 from .invariants import Invariants
 from .profiles import delta_table
-from .roles import Role, _class_roles, role_test_profiles
+from .roles import Role, role_conditions
 
 BOX_CAP = 2**30
 
@@ -91,52 +94,87 @@ def _box(sizes: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _prepare(sizes: tuple[int, ...]) -> _Prep:
+def _prepare(sizes: tuple[int, ...], vetoer: bool = False, null: bool = False) -> _Prep:
+    """The rows a game of the composition may use, in decreasing lex order, with
+    their incomparability and separation bits.
+
+    Never the zero row, as the empty coalition cannot win; r₁ = n₁ for a
+    required vetoer and r_t = 0 for a required null.  A fixed r₁ adds n₁ to
+    every prefix sum and a fixed r_t repeats the one before, so the rows keep
+    the delta order of the free classes' box.  There ``down[i]``, row i and
+    every row below it, is row i with the ``down`` of each row one delta step
+    lower, which comes later in the order.  A later row never lies above row
+    i, so it is incomparable with it iff it is not in ``down[i]``.
+    """
     t = len(sizes)
-    box = _box(sizes)
-    rows = tuple(itertools.product(*(range(s, -1, -1) for s in sizes)))
-    full = (1 << (t - 1)) - 1 if t > 1 else 0
-    sat = [sum(1 << k for k in range(t - 1) if r[k] > 0 and r[k + 1] < sizes[k + 1]) for r in rows]
-    suffix = [0] * (box + 1)
+    full = (1 << (t - 1)) - 1
+    if vetoer + null > t:  # r₁ = n₁ and r₁ = 0 at once
+        return _Prep((), (), (), (0,), full)
+    ranges = [range(s, -1, -1) for s in sizes]
+    if vetoer:
+        ranges[0] = ranges[0][:1]
+    if null:
+        ranges[-1] = ranges[-1][-1:]
+    free = sizes[vetoer:t - null]
+    box = _box(free)
+    steps = delta_table(free).delta_steps
+    down = [0] * box
     for i in range(box - 1, -1, -1):
+        below = 1 << i
+        for offset, can_step in steps:
+            if can_step >> i & 1:
+                below |= down[i + offset]
+        down[i] = below
+    rows = list(itertools.product(*ranges))
+    # r_k as bit k if positive and bit t + k if below n_k: a row separates
+    # boundary k iff r_k > 0 and r_{k+1} < n_{k+1}
+    codes = [[(v > 0) << k | (v < s) << t + k for v in r] for k, (r, s) in enumerate(zip(ranges, sizes))]
+    sat = [x & x >> t + 1 & full for x in map(sum, itertools.product(*codes))]
+    if not any(rows[-1]):
+        rows.pop()
+        sat.pop()
+    every = (1 << box) - 1
+    incomp = [(every ^ below) >> (i + 1) << (i + 1) for i, below in enumerate(down[:len(rows)])]
+    suffix = [0] * (len(rows) + 1)
+    for i in range(len(rows) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | sat[i]
-    table = delta_table(sizes)
-    incomp = []
-    for i, row in enumerate(rows):
-        # later rows are lex-smaller, so they can only be dominated, never dominate;
-        # one is incomparable iff some prefix sum of it is larger than row i's
-        larger = 0
-        for k, v in enumerate(itertools.accumulate(row)):
-            larger |= table.prefix_at_least(k, v + 1)
-        incomp.append(larger >> (i + 1) << (i + 1))
-    return _Prep(rows, tuple(incomp), tuple(sat), tuple(suffix), full)
+    return _Prep(tuple(rows), tuple(incomp), tuple(sat), tuple(suffix), full)
+
+
+def _ends(spec: EnumSpec) -> tuple[bool, bool]:
+    """``_prepare``'s fixed ends for a spec: a required vetoer and a required null."""
+    return Role.VETOER in spec.require, Role.NULL in spec.require
 
 
 class _Roles(dict):
     """Present-role sets of one composition, keyed by accumulated search bits.
 
-    A key holds the t - 1 separation bits, then one bit per role test profile
-    (some row lies at or below it in the delta order), then a bit for a
-    nonzero last entry in some row.  Each key is decided once, by
-    ``roles._class_roles`` reading its win tests off the bits.
+    A key holds the t - 1 separation bits, then one bit per profile that
+    ``roles.role_conditions`` tests (some row lies at or below it in the delta
+    order), then a bit for a nonzero last entry in some row.  The conditions
+    become one (role, on, off) mask triple per role and class, so a key is
+    decided once, by 5t + 1 mask tests.
     """
 
     def __init__(self, sizes: tuple[int, ...]):
         super().__init__()
         self.sizes = sizes
-        n = sum(sizes)
-        profiles = role_test_profiles(sizes)
-        self.profile_bit = {p: len(sizes) - 1 + j for j, p in enumerate(profiles)}
+        n, t = sum(sizes), len(sizes)
+        conditions = role_conditions(sizes)
+        profiles = dict.fromkeys(p for _, _, win, lose in conditions for p in win + lose)
+        bit = {p: 1 << t - 1 + j for j, p in enumerate(profiles)}
+        self.masks = [(role, sum(map(bit.get, win)), sum(map(bit.get, lose)))
+                      for role, _, win, lose in conditions]
         # at_least[k][v]: the bits of the profiles whose k-th prefix sum is >= v;
-        # a test profile's prefix sums stay below n + 2
-        self.at_least = [[0] * (n + 2) for _ in sizes]
-        for p, j in self.profile_bit.items():
+        # tested profiles lie in the box, so their prefix sums stay at most n
+        self.at_least = [[0] * (n + 1) for _ in sizes]
+        for p, b in bit.items():
             for column, v in zip(self.at_least, itertools.accumulate(p)):
-                column[v] |= 1 << j
+                column[v] |= b
         for column in self.at_least:
-            for v in range(n, -1, -1):
+            for v in range(n - 1, -1, -1):
                 column[v] |= column[v + 1]
-        self.nonzero_last = 1 << (len(sizes) - 1 + len(profiles))
+        self.nonzero_last = 1 << t - 1 + len(profiles)
 
     def row_bits(self, row: tuple[int, ...]) -> int:
         """The role bits of one row, placed above its separation bits."""
@@ -145,10 +183,19 @@ class _Roles(dict):
             bits &= column[v]
         return bits | self.nonzero_last if row[-1] else bits
 
+    def reads(self, roles: frozenset) -> int:
+        """The key bits that decide whether each of ``roles`` is present."""
+        bits = self.nonzero_last if Role.NULL in roles and len(self.sizes) > 1 else 0
+        for role, on, off in self.masks:
+            if role in roles:
+                bits |= on | off
+        return bits
+
     def __missing__(self, key: int) -> frozenset[Role]:
-        classes = _class_roles(self.sizes, lambda p: key >> self.profile_bit[p] & 1,
-                               not key & self.nonzero_last)
-        present = self[key] = frozenset().union(*classes)
+        present = {role for role, on, off in self.masks if key & on == on and not key & off}
+        if len(self.sizes) > 1 and not key & self.nonzero_last:
+            present.add(Role.NULL)
+        present = self[key] = frozenset(present)
         return present
 
 
@@ -172,28 +219,16 @@ _keep = lru_cache(maxsize=1024)(_Keep)
 
 
 @lru_cache(maxsize=1024)
-def _row_bits(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """Per candidate row: its separation bits | its role bits."""
+def _row_bits(sizes: tuple[int, ...], vetoer: bool, null: bool) -> tuple[int, ...]:
+    """Per row of ``_prepare(sizes, vetoer, null)``: its separation bits | its role bits."""
     roles = _roles(sizes)
-    prep = _prepare(sizes)
+    prep = _prepare(sizes, vetoer, null)
     return tuple(s | roles.row_bits(row) for s, row in zip(prep.sat, prep.rows))
 
 
-def _required_rows(sizes: tuple[int, ...], require: frozenset) -> int:
-    """The candidate rows a game with the required roles may use: never the zero
-    row (the last), as the empty coalition cannot win; r_1 = n_1 for a vetoer; r_t = 0 for a null."""
-    delta = delta_table(sizes)
-    mask = delta.full >> 1
-    if Role.VETOER in require:
-        mask &= delta.class_at_least(0, sizes[0])
-    if Role.NULL in require:
-        mask &= ~delta.class_at_least(len(sizes) - 1, 1)
-    return mask
-
-
 def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
-    """count(q): the nonempty antichains of the rows in mask q (within
-    ``_required_rows``) that pass the spec's role filters, as
+    """count(q): the nonempty antichains of the rows in mask q (over the rows of
+    ``_prepare(sizes, *_ends(spec))``) that pass the spec's role filters, as
     Σ_k c_k << k·width by size k; width 0 sums every size, whatever ``spec.rows``.
 
     ``incomp_after[x]`` holds only rows after x, so an antichain with
@@ -202,20 +237,23 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     With z marking a row, a state may still add E(state) = [own] +
     z·Σ_{x∈q} E(state & table[x]), where [own] says the bits set so far pass
     the filters; the memo holds z·E(state), cut above degree ``spec.rows`` if
-    that is below the box size.  ``_required_rows`` decides a vetoer and a
-    null exactly, so specs that require only those, and unfiltered ones, track
-    no role bits.  One memo per call, shared by its queries.
+    that is below the box size.  The prepared rows decide a required vetoer
+    and a required null exactly, so only the bits that the other named roles
+    read are tracked, and none for specs that name no other role (a key
+    without a vetoer's or a null's bits reads both as present).  One memo per
+    call, shared by its queries.
     """
-    prep = _prepare(sizes)
+    ends = _ends(spec)
+    prep = _prepare(sizes, *ends)
     box = len(prep.rows)
-    if spec.forbid or not spec.require <= {Role.VETOER, Role.NULL}:
-        key_bits = (_roles(sizes).nonzero_last << 1) - 1
+    named = spec.require - {Role.VETOER, Role.NULL} | spec.forbid
+    if named:
+        read = _roles(sizes).reads(named)
         keep = _keep(sizes, spec.require, spec.forbid)
-        table = [i | (key_bits & ~b) << box for i, b in zip(prep.incomp_after, _row_bits(sizes))]
+        table = [i | (read & ~b) << box for i, b in zip(prep.incomp_after, _row_bits(sizes, *ends))]
     else:
-        key_bits, keep, table = 0, {0: True}, prep.incomp_after
-    role_bits = key_bits & ~prep.full
-    start = role_bits << box
+        read, keep, table = 0, {0: True}, prep.incomp_after
+    start = read << box
     every_row = (1 << box) - 1
     cut = width and spec.rows is not None and spec.rows < box
     mask = (1 << (spec.rows + 1) * width) - 1 if cut else -1
@@ -236,7 +274,7 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
                     continue
                 stack.append((top, todo, total))  # resume here once inner is counted
                 top, todo = inner, inner & every_row
-                total = int(keep[key_bits ^ (inner >> box & role_bits)])
+                total = int(keep[read ^ inner >> box])
             if not stack:
                 return total
             memo[top] = total << width & mask
@@ -280,15 +318,17 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
 
     ``_roles(sizes)[key]`` is the matrix's present-role set.  A key ORs
     ``_row_bits`` over the matrix's rows, so a search node costs one OR.  The
-    search uses only the rows in ``_required_rows``; a first row with r₁ = 0 is
-    followed only by such rows, none separating boundary 1, so the prune cuts it.
+    search uses the rows of ``_prepare(sizes, *_ends(spec))``; a first row with
+    r₁ = 0 is followed only by such rows, none separating boundary 1, so the
+    prune cuts it.
     """
     if spec.rows == 1:
         yield from _single_row_games(spec, sizes)
         return
-    prep = _prepare(sizes)
+    ends = _ends(spec)
+    prep = _prepare(sizes, *ends)
     rows, inc, suf, full = prep.rows, prep.incomp_after, prep.suffix_sat, prep.full
-    bits = _row_bits(sizes)
+    bits = _row_bits(sizes, *ends)
     keep = _keep(sizes, spec.require, spec.forbid)
     row_limit = spec.rows
     chosen = []
@@ -312,7 +352,7 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
                         yield from rec(child, s2, d2)
             chosen.pop()
 
-    yield from rec(_required_rows(sizes, spec.require), 0, 0)
+    yield from rec((1 << len(rows)) - 1, 0, 0)
 
 
 def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
@@ -336,22 +376,25 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
 def _count_shard(spec: EnumSpec, sizes: tuple[int, ...], width: int = 0) -> int:
     """One composition c's weighted share of the spec's games, graded as ``_counter``'s.
 
-    c's rows that separate no boundary in a set S map onto the box of c/S (those
-    boundaries merged), keeping the delta order, the row count and the roles, so
-    count(every & ~rows_S) is N(c/S).  The games of (n, t) are
-    Σ_{j≤t} (−1)^(t−j) C(n−j, t−j) Σ_{d∈comp(n,j)} N(d), and each d is c/S for
-    one pair whose S lies in c's leading singleton classes (its extra cuts are
-    the t − j smallest free gaps), so only those S are summed, with d's weight.  A lone
-    row skips ``_prepare``'s box² table and counts c's own games.
+    c's rows that separate no boundary in a set S (read off ``sat``) map onto
+    the box of c/S (those boundaries merged), keeping the delta order, the row
+    count, the roles and the fixed ends, so count(every & ~rows_S) is N(c/S).
+    The games of (n, t) are Σ_{j≤t} (−1)^(t−j) C(n−j, t−j) Σ_{d∈comp(n,j)} N(d),
+    and each d is c/S for one pair whose S lies in c's leading singleton classes
+    (its extra cuts are the t − j smallest free gaps), so only those S are
+    summed, with d's weight.  A lone row skips ``_prepare``'s box² table and
+    counts c's own games.
     """
     if spec.rows == 1:
         return sum(1 for _ in _single_row_games(spec, sizes)) << width
     count = _counter(spec, sizes, width)  # first: its _prepare checks the box cap
-    every = _required_rows(sizes, spec.require)
+    sat = _prepare(sizes, *_ends(spec)).sat
+    every = (1 << len(sat)) - 1
     n, t = sum(sizes), len(sizes)
     singles = next((k for k, s in enumerate(sizes[:t - 1]) if s > 1), t - 1)
     terms = [(0, 0)]  # (|S|, rows separating some boundary of S)
-    for _, separating in delta_table(sizes).delta_steps[:singles]:
+    for b in range(singles):
+        separating = sum(1 << i for i, s in enumerate(sat) if s >> b & 1)
         terms += [(k + 1, rows | separating) for k, rows in terms]
     return sum((-1) ** k * comb(n - t + k, k) * count(every & ~rows) for k, rows in terms)
 

@@ -2,7 +2,9 @@
 
 ``semantic_roles`` evaluates the role definitions literally on coalitions;
 ``structural_roles`` evaluates equivalent profile-level predicates straight on
-the invariants, without expanding the game.  Both keep the literal reading,
+the invariants, without expanding the game; ``role_conditions`` declares them
+once, as the profiles that must win and must lose, and the enumerator reads the
+same table as bit masks.  Both keep the literal reading,
 including the degenerate overlaps (a null class can satisfy the semi-veto text
 in unanimity-minus-one-class games).
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import SimpleGame, type_partition, _absent_mask, _winning_table
 from .errors import ValidationError
@@ -117,56 +120,59 @@ def _shift(base, c, k):
     return tuple(out)
 
 
-def role_test_profiles(n_bar) -> tuple[tuple[int, ...], ...]:
-    """Every profile whose win ``_class_roles`` may test, without repeats.
+@lru_cache(maxsize=1024)
+def role_conditions(n_bar: tuple[int, ...]) -> tuple[tuple[Role, int, tuple, tuple], ...]:
+    """(role, class c, profiles that must win, profiles that must lose) for every
+    role but null: the role holds in class c iff every profile of the first
+    tuple wins and none of the second does.
 
-    These are the O(t²) profiles e_c, n̄−e_c, n̄−e_c−e_d, e_c+e_e and 2e_c.
-    """
-    zero = (0,) * len(n_bar)
-    out = []
-    for c in range(len(n_bar)):
-        e_c = _shift(zero, c, 1)
-        top_c = _shift(n_bar, c, -1)
-        out += [e_c, top_c]
-        out += [_shift(top_c, d, -1) for d, v in enumerate(top_c) if v > 0]
-        out += [_shift(e_c, e, 1) for e in range(len(n_bar))]
-    return tuple(dict.fromkeys(out))
-
-
-def _class_roles(n_bar, wins, last_zero: bool) -> list[set[Role]]:
-    """Role sets per class from win tests on ``role_test_profiles(n_bar)`` only.
-
-    ``wins(profile)`` says whether the profile delta-dominates (or equals) some
-    matrix row; ``last_zero`` whether every row ends in 0.  The reference path
-    passes ``wins_counts`` on a matrix, the enumerator a lookup in bits
-    accumulated during its search.  A dictator is a voter who is both passer
-    and vetoer: if {i} wins and i is in every winning coalition, {i} is the
-    only minimal one, and no class of two members can hold such a voter.
+    With e_c one member of class c and top_c = n̄ − e_c:
+    - vetoer: top_c loses;
+    - passer: e_c wins;
+    - dictator: e_c wins and top_c loses.  If {i} wins and i is in every winning
+      coalition, {i} is the only minimal one, so no class of two members holds one;
+    - semi-vetoer: top_c wins and every top_c − e_d loses (the unique winning
+      profile below the full class c);
+    - semi-passer: e_c loses and every e_c + e_e wins, 2e_c only when class c has
+      two members.
     """
     t = len(n_bar)
     zero = (0,) * t
-    roles = [set() for _ in range(t)]
+    out = []
     for c in range(t):
-        e_c = _shift(zero, c, 1)
-        top_c = _shift(n_bar, c, -1)
-        top_wins = wins(top_c)
-        if not top_wins:
-            roles[c].add(Role.VETOER)
-        e_c_wins = wins(e_c)
-        if e_c_wins:
-            roles[c].add(Role.PASSER)
-        if last_zero and t >= 2 and c == t - 1:
-            roles[c].add(Role.NULL)
-        # unique winning profile below full class c iff every one-lower loses
-        if top_wins and not any(wins(_shift(top_c, d, -1)) for d in range(t) if top_c[d] > 0):
-            roles[c].add(Role.SEMI_VETOER)
-        # 2e_c is a pair from class c only when the class has two members
-        if not e_c_wins and all(
-            wins(_shift(e_c, e, 1)) for e in range(t) if e != c or n_bar[c] >= 2
-        ):
-            roles[c].add(Role.SEMI_PASSER)
-        if Role.PASSER in roles[c] and Role.VETOER in roles[c]:
-            roles[c].add(Role.DICTATOR)
+        e_c, top_c = _shift(zero, c, 1), _shift(n_bar, c, -1)
+        lower = tuple(_shift(top_c, d, -1) for d in range(t) if top_c[d] > 0)
+        pairs = tuple(_shift(e_c, e, 1) for e in range(t) if e != c or n_bar[c] >= 2)
+        out += [
+            (Role.VETOER, c, (), (top_c,)),
+            (Role.PASSER, c, (e_c,), ()),
+            (Role.DICTATOR, c, (e_c,), (top_c,)),
+            (Role.SEMI_VETOER, c, (top_c,), lower),
+            (Role.SEMI_PASSER, c, pairs, (e_c,)),
+        ]
+    return tuple(out)
+
+
+def _class_roles(n_bar, wins, last_zero: bool) -> list[set[Role]]:
+    """Role sets per class from ``role_conditions(n_bar)``, each profile tested once.
+
+    ``wins(profile)`` says whether the profile delta-dominates (or equals) some
+    matrix row; ``last_zero`` whether every row ends in 0, which makes the last
+    of two or more classes null.
+    """
+    memo = {}
+
+    def won(profile):
+        if profile not in memo:
+            memo[profile] = wins(profile)
+        return memo[profile]
+
+    roles = [set() for _ in n_bar]
+    for role, c, win, lose in role_conditions(tuple(n_bar)):
+        if all(map(won, win)) and not any(map(won, lose)):
+            roles[c].add(role)
+    if last_zero and len(n_bar) >= 2:
+        roles[-1].add(Role.NULL)
     return roles
 
 

@@ -12,8 +12,8 @@ from csgames.enumeration import (
     EnumSpec,
     _count_shard,
     _counter,
+    _ends,
     _prepare,
-    _required_rows,
     _single_rows,
     catalog_with_roles,
     compositions,
@@ -25,11 +25,11 @@ from csgames.enumeration import (
 )
 from csgames.errors import ValidationError
 from csgames.formulas import Family, _enclosed_gap, evaluate, golden_ratio_gap
-from csgames.invariants import check_conditions
+from csgames.invariants import Invariants, check_conditions, expand
 from csgames.oracle import ORACLE_MAX_PLAYERS, oracle_count
 from csgames.checks import formula_row, reference_row
 from csgames.refcounts import CG_LARGE, CG_T3, CGV_T3, CGVN_T4
-from csgames.roles import Role, present_roles_raw, role_present_raw
+from csgames.roles import Role, present_roles_raw, role_present_raw, semantic_roles
 
 from conftest import inv
 
@@ -55,26 +55,29 @@ def test_prepare_matches_pairwise_reference():
     for n in range(1, 8):
         for t in range(1, n + 1):
             for sizes in compositions(n, t):
-                prep = _prepare(sizes)
-                vetoer_rows = _required_rows(sizes, {Role.VETOER})
-                null_rows = _required_rows(sizes, {Role.NULL})
-                assert _required_rows(sizes, {Role.VETOER, Role.NULL}) == vetoer_rows & null_rows
-                # every row but the zero row, which is last: the empty coalition cannot win
-                assert _required_rows(sizes, {Role.PASSER}) == (1 << len(prep.rows) - 1) - 1
-                for require in [set(), *({role} for role in Role), {Role.VETOER, Role.NULL}]:
-                    assert not _required_rows(sizes, require) >> len(prep.rows) - 1 & 1, (sizes, require)
-                rows = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
-                assert list(prep.rows) == rows
-                prefixes = [tuple(itertools.accumulate(row)) for row in rows]
-                for i, (row, pi) in enumerate(zip(rows, prefixes)):
-                    # a later row is incomparable iff some prefix sum of it is larger
-                    later = [j for j in range(i + 1, len(rows))
-                             if any(b > a for a, b in zip(pi, prefixes[j]))]
-                    assert prep.incomp_after[i] == sum(1 << j for j in later), (sizes, row)
-                    separates = [k for k in range(t - 1) if row[k] > 0 and row[k + 1] < sizes[k + 1]]
-                    assert prep.sat[i] == sum(1 << k for k in separates), (sizes, row)
-                    assert vetoer_rows >> i & 1 == (row[0] == sizes[0])
-                    assert null_rows >> i & 1 == (row[-1] == 0 and any(row))
+                box = list(itertools.product(*(range(s, -1, -1) for s in sizes)))
+                for vetoer, null in itertools.product((False, True), repeat=2):
+                    prep = _prepare(sizes, vetoer, null)
+                    # the full box's rows with r_1 = n_1 for a vetoer and r_t = 0 for a
+                    # null, in its order, but the zero row: the empty coalition cannot win
+                    rows = [row for row in box if any(row) and (row[0] == sizes[0] or not vetoer)
+                            and (row[-1] == 0 or not null)]
+                    assert list(prep.rows) == rows, (sizes, vetoer, null)
+                    prefixes = [tuple(itertools.accumulate(row)) for row in rows]
+                    for i, (row, pi) in enumerate(zip(rows, prefixes)):
+                        # a later row is incomparable iff some prefix sum of it is larger
+                        later = [j for j in range(i + 1, len(rows))
+                                 if any(b > a for a, b in zip(pi, prefixes[j]))]
+                        assert prep.incomp_after[i] == sum(1 << j for j in later), (sizes, vetoer, null, row)
+                        separates = [k for k in range(t - 1) if row[k] > 0 and row[k + 1] < sizes[k + 1]]
+                        assert prep.sat[i] == sum(1 << k for k in separates), (sizes, vetoer, null, row)
+    # a null is the last of two or more classes: one class allows no row
+    for n in range(1, 8):
+        assert _prepare((n,), False, True).rows == _prepare((n,), True, True).rows == ()
+        for require in ({Role.NULL}, {Role.NULL, Role.VETOER}):
+            for rows in (None, 1, 2):
+                spec = EnumSpec(n=n, t=1, rows=rows, require=require)
+                assert count_games(spec) == 0 and list(raw_pairs(spec)) == [], spec
 
 
 def test_catalog_n3_t2_exact():
@@ -185,22 +188,21 @@ def test_counter_on_merged_boundaries_is_the_coarser_count():
         for t in range(1, n + 1):
             for sizes in compositions(n, t):
                 box = prod(s + 1 for s in sizes)
-                steps = enumeration.delta_table(sizes).delta_steps[:-1]
                 for i, kw in enumerate([{}] + FILTERS):
                     spec = EnumSpec(n=n, t=t, **kw)
-                    every = _required_rows(sizes, spec.require)
+                    sat = _prepare(sizes, *_ends(spec)).sat
                     for width in (0, box + 1):
                         count = _counter(spec, sizes, width)
                         for k in range(t):
                             for merged in itertools.combinations(range(t - 1), k):
-                                rows = 0
-                                for b in merged:
-                                    rows |= steps[b][1]
+                                rows = sum(1 << j for j, s in enumerate(sat) if any(s >> b & 1 for b in merged))
                                 coarse = _merge(sizes, merged)
                                 if (coarse, i, width) not in own:
                                     coarse_spec = EnumSpec(n=n, t=len(coarse), **kw)
+                                    coarse_rows = _prepare(coarse, *_ends(coarse_spec)).rows
                                     own[coarse, i, width] = _counter(coarse_spec, coarse, width)(
-                                        _required_rows(coarse, spec.require))
+                                        (1 << len(coarse_rows)) - 1)
+                                every = (1 << len(sat)) - 1
                                 assert count(every & ~rows) == own[coarse, i, width], (sizes, merged, kw, width)
 
 
@@ -221,12 +223,10 @@ def counter_queries(draw):
     return spec, tuple(sizes), draw(st.lists(masks, min_size=1, max_size=4))
 
 
-def _antichains_brute_force(spec, sizes, q):
-    # by size k: the subsets of the rows in q that are nonempty, have pairwise
+def _antichains_brute_force(spec, sizes, rows):
+    # by size k: the subsets of rows that are nonempty, have pairwise
     # incomparable rows in the delta order and whose present roles pass the
     # spec's filters
-    rows = [row for i, row in enumerate(itertools.product(*(range(s, -1, -1) for s in sizes)))
-            if q >> i & 1]
     prefixes = [tuple(itertools.accumulate(row)) for row in rows]
     comparable = [[all(x >= y for x, y in zip(a, b)) or all(y >= x for x, y in zip(a, b))
                    for b in prefixes] for a in prefixes]
@@ -242,16 +242,16 @@ def _antichains_brute_force(spec, sizes, q):
 @settings(max_examples=200, deadline=None)
 @given(counter_queries())
 def test_antichain_counter_matches_brute_force(query):
-    # every grade at width box + 1, cut above spec.rows when that is below the
-    # box size, and their sum at width 0
+    # every grade at width box + 1, cut above spec.rows, and their sum at width 0;
+    # a query is a mask over the rows of the spec's table
     spec, sizes, masks = query
-    box = prod(s + 1 for s in sizes)
-    width = box + 1
+    width = prod(s + 1 for s in sizes) + 1
+    rows = _prepare(sizes, *_ends(spec)).rows
     graded, summed = _counter(spec, sizes, width), _counter(spec, sizes, 0)
     for q in masks:
-        q &= _required_rows(sizes, spec.require)
-        by_size = _antichains_brute_force(spec, sizes, q)
-        kept = {k: c for k, c in by_size.items() if spec.rows is None or spec.rows >= box or k <= spec.rows}
+        q &= (1 << len(rows)) - 1
+        by_size = _antichains_brute_force(spec, sizes, [row for i, row in enumerate(rows) if q >> i & 1])
+        kept = {k: c for k, c in by_size.items() if spec.rows is None or k <= spec.rows}
         assert graded(q) == sum(c << k * width for k, c in kept.items()), (spec, sizes, q)
         assert summed(q) == sum(by_size.values()), (spec, sizes, q)
 
@@ -360,6 +360,14 @@ def test_catalog_roles_match_reference():
                 assert (Role.DICTATOR in present) == dictator, (sizes, matrix)
 
 
+def test_catalog_roles_match_semantic_roles():
+    # the search's role bits against the coalition-level definitions
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            for sizes, matrix, present in catalog_with_roles(n, t):
+                assert present == semantic_roles(expand(Invariants(sizes, matrix))).present, (sizes, matrix)
+
+
 def test_filtered_reference_tables():
     vetoer, vetoer_null = frozenset({Role.VETOER}), frozenset({Role.VETOER, Role.NULL})
     for n in range(10, 14):
@@ -367,6 +375,10 @@ def test_filtered_reference_tables():
     cgvn_t4 = {n: count_games(EnumSpec(n=n, t=4, require=vetoer_null)) for n in range(10, 15)}
     for n, count in cgvn_t4.items():
         assert count == CGVN_T4[n], n
+    # the vetoer and null fix r_1 and r_t, so only the middle classes' box is
+    # prepared: CGVN_T4(24) takes well under a second
+    for n in range(15, 25):
+        assert formula_row(Family.CGVN_T4, n, 4, vetoer_null)[-1], n
     # past the reference table, the closed form is the second method
     cgv_t3 = {}
     for n in range(14, 23):
