@@ -4,23 +4,27 @@ For each class-size composition, matrices are grown row by row in strictly
 decreasing lexicographic order while keeping the rows pairwise incomparable in
 the delta order, so every valid (n_bar, M) pair is produced exactly once and
 already in canonical form.  Candidate rows, their incomparabilities (from the
-lower covers of the delta order) and their separation bits are precomputed per
+covers of the delta order) and their separation bits are precomputed per
 composition as bitmasks.  A required vetoer fixes r₁ = n₁ and a required null
 r_t = 0, so only the free classes' box is listed.  Role filters ride in the
 search's accumulator as per-row win bits, decided at a leaf by masks of
 ``roles.role_conditions``.  Counts never walk the stream.  One memoized
-one-sum over each antichain's lex-largest row counts the nonempty antichains
-of the allowed rows by size, carrying the win bits that the other named roles
-read and no row has set yet; binomial weights on merges of the leading
-singleton classes keep the games.
-Single-row counts walk the product of a lone row's ranges.
+one-sum over each antichain's first row counts the nonempty antichains of the
+allowed rows by size, carrying the win bits that the other named roles read
+and no row has set yet; binomial weights on merges of the leading singleton
+classes keep the games.  The counter lists the rows in its own, size-graded
+order: by member count Σr ascending, ties larger r_t first, then larger
+r_{t−1}, and so on.  A row comes after every row below it in the delta
+order, so its incomparable later rows are those outside its up-set, and the
+memo keeps fewer states than over the stream's lex order.
+Unfiltered single-row counts multiply a lone row's range lengths; filtered,
+they walk the ranges' product.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, prod
@@ -94,17 +98,22 @@ def _box(sizes: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _prepare(sizes: tuple[int, ...], vetoer: bool = False, null: bool = False) -> _Prep:
-    """The rows a game of the composition may use, in decreasing lex order, with
-    their incomparability and separation bits.
+def _prepare(sizes: tuple[int, ...], vetoer: bool = False, null: bool = False,
+             graded: bool = False) -> _Prep:
+    """The rows a game of the composition may use, with their incomparability
+    and separation bits, in decreasing lex order (the stream's) or, graded, by
+    key (Σr, −r_t, …, −r_1) (the counter's).
 
     Never the zero row, as the empty coalition cannot win; r₁ = n₁ for a
     required vetoer and r_t = 0 for a required null.  A fixed r₁ adds n₁ to
     every prefix sum and a fixed r_t repeats the one before, so the rows keep
-    the delta order of the free classes' box.  There ``down[i]``, row i and
-    every row below it, is row i with the ``down`` of each row one delta step
-    lower, which comes later in the order.  A later row never lies above row
-    i, so it is incomparable with it iff it is not in ``down[i]``.
+    the delta order of the free classes' box, where row i (in decreasing lex
+    order) takes each delta step down to row i + offset.  In decreasing lex
+    order a later row never lies above row i; in the graded order, an
+    ascending linear extension of the delta order, never below it.  So a
+    later row is incomparable with row i iff it is not in ``reach[i]``, row i
+    with the ``reach`` of each row one delta step lower (lex) or higher
+    (graded), which comes later in the order.
     """
     t = len(sizes)
     full = (1 << (t - 1)) - 1
@@ -118,23 +127,40 @@ def _prepare(sizes: tuple[int, ...], vetoer: bool = False, null: bool = False) -
     free = sizes[vetoer:t - null]
     box = _box(free)
     steps = delta_table(free).delta_steps
-    down = [0] * box
-    for i in range(box - 1, -1, -1):
-        below = 1 << i
-        for offset, can_step in steps:
-            if can_step >> i & 1:
-                below |= down[i + offset]
-        down[i] = below
     rows = list(itertools.product(*ranges))
     # r_k as bit k if positive and bit t + k if below n_k: a row separates
     # boundary k iff r_k > 0 and r_{k+1} < n_{k+1}
     codes = [[(v > 0) << k | (v < s) << t + k for v in r] for k, (r, s) in enumerate(zip(ranges, sizes))]
-    sat = [x & x >> t + 1 & full for x in map(sum, itertools.product(*codes))]
-    if not any(rows[-1]):
-        rows.pop()
-        sat.pop()
+    if graded:
+        # above those bits, the key as one int: Σr, then n_t − r_t, …, n_1 − r_1 as digits
+        base = max(sizes) + 1
+        codes = [[c | (v * base**t + (s - v) * base**k) << 2 * t for c, v in zip(cs, r)]
+                 for k, (cs, r, s) in enumerate(zip(codes, ranges, sizes))]
+    codes = list(map(sum, itertools.product(*codes)))
+    order = range(box)  # position -> lex index
+    if graded:
+        order = sorted(order, key=codes.__getitem__)
+        rows = list(map(rows.__getitem__, order))
+        codes = list(map(codes.__getitem__, order))
+        # row i's steps up: row i − offset can step down to it
+        steps = [(-offset, can_step << offset) for offset, can_step in steps]
+    sat = [x & x >> t + 1 & full for x in codes]
+    reach = [0] * box
+    for p in range(box - 1, -1, -1):  # every neighbour reached comes later in the order
+        i = order[p]
+        bits = 1 << p
+        for offset, can_step in steps:
+            if can_step >> i & 1:
+                bits |= reach[i + offset]
+        reach[i] = bits
+    # the zero row, below every row, is the last in lex order and the first graded,
+    # where dropping it moves the rows after it down one bit
+    zero = 0 if graded else box - 1
+    drop = not any(rows[zero])
     every = (1 << box) - 1
-    incomp = [(every ^ below) >> (i + 1) << (i + 1) for i, below in enumerate(down[:len(rows)])]
+    incomp = [(every ^ reach[i]) >> (p + 1) << (p + 1 - (drop and graded)) for p, i in enumerate(order)]
+    if drop:
+        del rows[zero], sat[zero], incomp[zero]
     suffix = [0] * (len(rows) + 1)
     for i in range(len(rows) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | sat[i]
@@ -219,20 +245,23 @@ _keep = lru_cache(maxsize=1024)(_Keep)
 
 
 @lru_cache(maxsize=1024)
-def _row_bits(sizes: tuple[int, ...], vetoer: bool, null: bool) -> tuple[int, ...]:
-    """Per row of ``_prepare(sizes, vetoer, null)``: its separation bits | its role bits."""
+def _row_bits(sizes: tuple[int, ...], vetoer: bool, null: bool, graded: bool) -> tuple[int, ...]:
+    """Per row of ``_prepare(sizes, vetoer, null, graded)``: its separation bits | its role bits."""
     roles = _roles(sizes)
-    prep = _prepare(sizes, vetoer, null)
+    prep = _prepare(sizes, vetoer, null, graded)
     return tuple(s | roles.row_bits(row) for s, row in zip(prep.sat, prep.rows))
 
 
 def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     """count(q): the nonempty antichains of the rows in mask q (over the rows of
-    ``_prepare(sizes, *_ends(spec))``) that pass the spec's role filters, as
-    Σ_k c_k << k·width by size k; width 0 sums every size, whatever ``spec.rows``.
+    ``_prepare(sizes, *_ends(spec), graded=True)``) that pass the spec's role
+    filters, as Σ_k c_k << k·width by size k; width 0 sums every size,
+    whatever ``spec.rows``.
 
-    ``incomp_after[x]`` holds only rows after x, so an antichain with
-    lex-largest row x is x plus an antichain of q ∩ incomp_after[x].  A memo
+    ``incomp_after[x]`` holds only rows after x, so an antichain with first
+    row x is x plus an antichain of q ∩ incomp_after[x].  Any row order
+    counts the same; the graded one, smallest rows first, reaches fewer
+    distinct states than the stream's lex order.  A memo
     state is one int: the row set q, above it the role bits no row has set yet.
     With z marking a row, a state may still add E(state) = [own] +
     z·Σ_{x∈q} E(state & table[x]), where [own] says the bits set so far pass
@@ -244,13 +273,13 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     call, shared by its queries.
     """
     ends = _ends(spec)
-    prep = _prepare(sizes, *ends)
+    prep = _prepare(sizes, *ends, True)
     box = len(prep.rows)
     named = spec.require - {Role.VETOER, Role.NULL} | spec.forbid
     if named:
         read = _roles(sizes).reads(named)
         keep = _keep(sizes, spec.require, spec.forbid)
-        table = [i | (read & ~b) << box for i, b in zip(prep.incomp_after, _row_bits(sizes, *ends))]
+        table = [i | (read & ~b) << box for i, b in zip(prep.incomp_after, _row_bits(sizes, *ends, True))]
     else:
         read, keep, table = 0, {0: True}, prep.incomp_after
     start = read << box
@@ -268,8 +297,9 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
             while todo:
                 low = todo & -todo
                 inner = top & table[low.bit_length() - 1]
-                if inner in memo:
-                    total += memo[inner]
+                known = memo.get(inner)
+                if known is not None:
+                    total += known
                     todo ^= low
                     continue
                 stack.append((top, todo, total))  # resume here once inner is counted
@@ -283,8 +313,10 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     return count
 
 
-def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
-    """Single-row matrices in decreasing lex order, skipping ``_prepare``'s box² table.
+def _single_rows(sizes: tuple[int, ...]) -> list[range]:
+    """The ranges of a lone row's entries, descending; their product lists the
+    single-row matrices' rows in decreasing lex order, skipping ``_prepare``'s
+    box² table.
 
     A lone row must start positive and separate every class boundary by
     itself: r₁ ∈ [1, n₁], 0 < r_k < n_k in between and r_t ∈ [0, n_t − 1].
@@ -294,7 +326,7 @@ def _single_rows(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]]]:
     ranges[0] = range(sizes[0], 0, -1)
     if len(sizes) > 1:
         ranges[-1] = range(sizes[-1] - 1, -1, -1)
-    yield from ((counts,) for counts in itertools.product(*ranges))
+    return ranges
 
 
 def _single_row_games(spec: EnumSpec, sizes: tuple[int, ...]):
@@ -303,14 +335,14 @@ def _single_row_games(spec: EnumSpec, sizes: tuple[int, ...]):
     row's role bits.  Role tables are built only for a composition with a
     lone row, and only when filtered; unfiltered, keys are None.
     """
-    for matrix in _single_rows(sizes):
+    for row in itertools.product(*_single_rows(sizes)):
         if not spec.filtered:
-            yield matrix, None
+            yield (row,), None
             continue
         roles = _roles(sizes)
-        key = (1 << (len(sizes) - 1)) - 1 | roles.row_bits(matrix[0])
+        key = (1 << (len(sizes) - 1)) - 1 | roles.row_bits(row)
         if _keep(sizes, spec.require, spec.forbid)[key]:
-            yield matrix, key
+            yield (row,), key
 
 
 def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
@@ -328,7 +360,7 @@ def _shard_matrices(spec: EnumSpec, sizes: tuple[int, ...]):
     ends = _ends(spec)
     prep = _prepare(sizes, *ends)
     rows, inc, suf, full = prep.rows, prep.incomp_after, prep.suffix_sat, prep.full
-    bits = _row_bits(sizes, *ends)
+    bits = _row_bits(sizes, *ends, False)
     keep = _keep(sizes, spec.require, spec.forbid)
     row_limit = spec.rows
     chosen = []
@@ -369,6 +401,8 @@ def _map_shards(fn, spec: EnumSpec, jobs: int) -> Iterator:
     if jobs <= 1:
         yield from map(work, shards)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, as it slows the package's import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(work, shards, chunksize=max(1, len(shards) // (jobs * 8)))
 
@@ -383,12 +417,14 @@ def _count_shard(spec: EnumSpec, sizes: tuple[int, ...], width: int = 0) -> int:
     and each d is c/S for one pair whose S lies in c's leading singleton classes
     (its extra cuts are the t − j smallest free gaps), so only those S are
     summed, with d's weight.  A lone row skips ``_prepare``'s box² table and
-    counts c's own games.
+    counts c's own games, unfiltered as the product of its ranges' lengths.
     """
     if spec.rows == 1:
+        if not spec.filtered:
+            return prod(map(len, _single_rows(sizes))) << width
         return sum(1 for _ in _single_row_games(spec, sizes)) << width
     count = _counter(spec, sizes, width)  # first: its _prepare checks the box cap
-    sat = _prepare(sizes, *_ends(spec)).sat
+    sat = _prepare(sizes, *_ends(spec), True).sat
     every = (1 << len(sat)) - 1
     n, t = sum(sizes), len(sizes)
     singles = next((k for k, s in enumerate(sizes[:t - 1]) if s > 1), t - 1)
