@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 from .errors import CapacityError, ValidationError
 from .invariants import Invariants
 from .profiles import delta_table
-from .roles import Role, role_conditions
+from .roles import Role, _roles
 
 BOX_CAP = 2**30
 
@@ -172,59 +172,6 @@ def _ends(spec: EnumSpec) -> tuple[bool, bool]:
     return Role.VETOER in spec.require, Role.NULL in spec.require
 
 
-class _Roles(dict):
-    """Present-role sets of one composition, keyed by accumulated search bits.
-
-    A key holds the t - 1 separation bits, then one bit per profile that
-    ``roles.role_conditions`` tests (some row lies at or below it in the delta
-    order), then a bit for a nonzero last entry in some row.  The conditions
-    become one (role, on, off) mask triple per role and class, so a key is
-    decided once, by 5t + 1 mask tests.
-    """
-
-    def __init__(self, sizes: tuple[int, ...]):
-        super().__init__()
-        self.sizes = sizes
-        n, t = sum(sizes), len(sizes)
-        conditions = role_conditions(sizes)
-        profiles = dict.fromkeys(p for _, _, win, lose in conditions for p in win + lose)
-        bit = {p: 1 << t - 1 + j for j, p in enumerate(profiles)}
-        self.masks = [(role, sum(map(bit.get, win)), sum(map(bit.get, lose)))
-                      for role, _, win, lose in conditions]
-        # at_least[k][v]: the bits of the profiles whose k-th prefix sum is >= v;
-        # tested profiles lie in the box, so their prefix sums stay at most n
-        self.at_least = [[0] * (n + 1) for _ in sizes]
-        for p, b in bit.items():
-            for column, v in zip(self.at_least, itertools.accumulate(p)):
-                column[v] |= b
-        for column in self.at_least:
-            for v in range(n - 1, -1, -1):
-                column[v] |= column[v + 1]
-        self.nonzero_last = 1 << t - 1 + len(profiles)
-
-    def row_bits(self, row: tuple[int, ...]) -> int:
-        """The role bits of one row, placed above its separation bits."""
-        bits = self.at_least[0][0]
-        for column, v in zip(self.at_least, itertools.accumulate(row)):
-            bits &= column[v]
-        return bits | self.nonzero_last if row[-1] else bits
-
-    def reads(self, roles: frozenset) -> int:
-        """The key bits that decide whether each of ``roles`` is present."""
-        bits = self.nonzero_last if Role.NULL in roles and len(self.sizes) > 1 else 0
-        for role, on, off in self.masks:
-            if role in roles:
-                bits |= on | off
-        return bits
-
-    def __missing__(self, key: int) -> frozenset[Role]:
-        present = {role for role, on, off in self.masks if key & on == on and not key & off}
-        if len(self.sizes) > 1 and not key & self.nonzero_last:
-            present.add(Role.NULL)
-        present = self[key] = frozenset(present)
-        return present
-
-
 class _Keep(dict):
     """Whether a key's present roles pass a spec's filters; each key decided once."""
 
@@ -240,7 +187,6 @@ class _Keep(dict):
         return keep
 
 
-_roles = lru_cache(maxsize=1024)(_Roles)
 _keep = lru_cache(maxsize=1024)(_Keep)
 
 

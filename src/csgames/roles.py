@@ -1,23 +1,27 @@
 """Detection of the six distinguished voter roles.
 
-``semantic_roles`` evaluates the role definitions literally on coalitions;
-``structural_roles`` evaluates equivalent profile-level predicates straight on
-the invariants, without expanding the game; ``role_conditions`` declares them
-once, as the profiles that must win and must lose, and the enumerator reads the
-same table as bit masks.  Both keep the literal reading,
-including the degenerate overlaps (a null class can satisfy the semi-veto text
-in unanimity-minus-one-class games).
+``semantic_roles`` evaluates the role definitions literally on coalitions,
+the independent reference.  ``role_conditions`` declares equivalent
+profile-level tests once, as the profiles that must win and must lose;
+``_Roles`` turns that table into bit masks over a key that ORs the matrix
+rows' bits, and ``structural_roles``, ``present_roles_raw`` and the
+enumerator's search all read those masks, without expanding the game.  Both
+readings keep the literal definitions, including the degenerate overlaps (a
+null class can satisfy the semi-veto text in unanimity-minus-one-class games).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .core import SimpleGame, type_partition, _absent_mask, _winning_table
-from .errors import ValidationError
-from .invariants import Invariants, wins_counts
+from .errors import CapacityError, ValidationError
+from .invariants import WINNING_SET_CAP, Invariants
 
 
 class Role(enum.Enum):
@@ -51,10 +55,7 @@ class RoleReport:
 
     @property
     def present(self) -> frozenset[Role]:
-        out = set()
-        for roles in self.per_class:
-            out |= roles
-        return frozenset(out)
+        return frozenset().union(*self.per_class)
 
     def has(self, role: Role) -> bool:
         return role in self.present
@@ -73,13 +74,6 @@ class RoleReport:
             },
             "present": sorted(r.value for r in self.present),
         }
-
-
-def _per_player_from_classes(per_class, sizes) -> tuple[frozenset[Role], ...]:
-    out = []
-    for roles, size in zip(per_class, sizes):
-        out.extend([roles] * size)
-    return tuple(out)
 
 
 def semantic_roles(game: SimpleGame) -> RoleReport:
@@ -153,63 +147,102 @@ def role_conditions(n_bar: tuple[int, ...]) -> tuple[tuple[Role, int, tuple, tup
     return tuple(out)
 
 
-def _class_roles(n_bar, wins, last_zero: bool) -> list[set[Role]]:
-    """Role sets per class from ``role_conditions(n_bar)``, each profile tested once.
+# _AT_LEAST[j] maps a byte r to the binary digit of r >= j.  The profiles of
+# ``role_conditions`` have at most six distinct k-th prefix sums: 0, 1, 2 and
+# the k-th prefix sum of n̄ less 2, 1 or 0.
+_AT_LEAST = [bytes(48 + (r >= j) for r in range(256)) for j in range(6)]
 
-    ``wins(profile)`` says whether the profile delta-dominates (or equals) some
-    matrix row; ``last_zero`` whether every row ends in 0, which makes the last
-    of two or more classes null.
+
+class _Roles(dict):
+    """Role sets of one composition, read off a key by masks of ``role_conditions``.
+
+    A key holds t − 1 low bits that no mask reads (the search's separation
+    bits), then one bit per profile that ``role_conditions`` tests (some row
+    lies at or below it in the delta order), then a bit for a nonzero last
+    entry in some row.  A row's bits come from ``row_bits`` and a matrix's key
+    is their OR.  The conditions become one (role, class, on, off) mask per
+    role and class, and the last of two or more classes is null iff the key
+    lacks the nonzero-last bit, so a key is decided by 5t + 1 mask tests; the
+    dict maps each key to its present-role set, decided once.
     """
-    memo = {}
 
-    def won(profile):
-        if profile not in memo:
-            memo[profile] = wins(profile)
-        return memo[profile]
+    def __init__(self, sizes: tuple[int, ...]):
+        super().__init__()
+        t = len(sizes)
+        conditions = role_conditions(sizes)
+        profiles = dict.fromkeys(p for _, _, win, lose in conditions for p in win + lose)
+        bit = {p: 1 << t - 1 + j for j, p in enumerate(profiles)}
+        self.nonzero_last = 1 << t - 1 + len(profiles)
+        self.masks = [(role, c, sum(map(bit.get, win)), sum(map(bit.get, lose)))
+                      for role, c, win, lose in conditions]
+        self.masks += [(Role.NULL, t - 1, 0, self.nonzero_last)] * (t > 1)
+        # per class k: sums[k], the distinct k-th prefix sums of the tested
+        # profiles, ascending, and at_least[k][j], the bits of the profiles whose
+        # k-th prefix sum is >= sums[k][j], so >= v for j = bisect_left(sums[k], v).
+        # Each entry is read as one binary numeral, a digit per profile, last
+        # profile first: one pass, where an OR per profile copies the whole key.
+        self.sums, self.at_least = [], []
+        for column in zip(*map(itertools.accumulate, profiles)):
+            sums = sorted(set(column))
+            ranks = bytes(map(sums.index, reversed(column)))
+            at_least = [int(ranks.translate(digits), 2) << t - 1 for digits in _AT_LEAST[:len(sums)]]
+            self.sums.append(sums)
+            self.at_least.append(at_least + [0])
 
-    roles = [set() for _ in n_bar]
-    for role, c, win, lose in role_conditions(tuple(n_bar)):
-        if all(map(won, win)) and not any(map(won, lose)):
-            roles[c].add(role)
-    if last_zero and len(n_bar) >= 2:
-        roles[-1].add(Role.NULL)
-    return roles
+    def row_bits(self, row: tuple[int, ...]) -> int:
+        """The role bits of one row: the tested profiles at or above it."""
+        bits = -1
+        for sums, at_least, v in zip(self.sums, self.at_least, itertools.accumulate(row)):
+            bits &= at_least[bisect_left(sums, v)]
+        return bits | self.nonzero_last if row[-1] else bits
+
+    def key(self, matrix) -> int:
+        """The role bits of a matrix: the OR of its rows' bits."""
+        return reduce(or_, map(self.row_bits, matrix), 0)
+
+    def reads(self, roles: frozenset) -> int:
+        """The key bits that decide whether each of ``roles`` is present."""
+        bits = 0
+        for role, _, on, off in self.masks:
+            if role in roles:
+                bits |= on | off
+        return bits
+
+    def holding(self, key: int) -> list[tuple[Role, int]]:
+        """(role, class c) for each role that the key decides holds in class c."""
+        return [(role, c) for role, c, on, off in self.masks if key & on == on and not key & off]
+
+    def __missing__(self, key: int) -> frozenset[Role]:
+        present = self[key] = frozenset(role for role, _ in self.holding(key))
+        return present
 
 
-def _class_roles_raw(n_bar, matrix) -> list[set[Role]]:
-    return _class_roles(
-        n_bar,
-        lambda counts: wins_counts(n_bar, matrix, counts),
-        all(row[-1] == 0 for row in matrix),
-    )
+_roles = lru_cache(maxsize=1024)(_Roles)
 
 
 def structural_roles(inv: Invariants) -> RoleReport:
-    """Roles computed on the invariants only; players follow the consecutive labeling."""
-    per_class = tuple(frozenset(r) for r in _class_roles_raw(inv.n_bar, inv.matrix))
-    return RoleReport(per_class, _per_player_from_classes(per_class, inv.n_bar), inv.n_bar)
+    """Roles computed on the invariants only; players follow the consecutive labeling.
 
-
-def role_present_raw(n_bar, matrix, role: Role) -> bool:
-    """Single-role presence test on raw (n_bar, matrix) tuples; used by the bijections."""
-    t = len(n_bar)
-    if role is Role.DICTATOR:  # both tests read class 1, so they name one voter
-        return (role_present_raw(n_bar, matrix, Role.VETOER)
-                and role_present_raw(n_bar, matrix, Role.PASSER))
-    if role is Role.VETOER:
-        n1 = n_bar[0]
-        return all(row[0] == n1 for row in matrix)
-    if role is Role.NULL:
-        return t >= 2 and all(row[-1] == 0 for row in matrix)
-    if role is Role.PASSER:
-        e1 = (1,) + (0,) * (t - 1)
-        return wins_counts(n_bar, matrix, e1)
-    roles = _class_roles_raw(n_bar, matrix)
-    return any(role in r for r in roles)
+    The report lists every player, so more than ``WINNING_SET_CAP`` of them
+    is a CapacityError, raised before any list is built.
+    """
+    if inv.n > WINNING_SET_CAP:
+        raise CapacityError(f"game has {inv.n} players (> {WINNING_SET_CAP}); the role report lists each")
+    roles = _roles(inv.n_bar)
+    per_class = [set() for _ in inv.n_bar]
+    for role, c in roles.holding(roles.key(inv.matrix)):
+        per_class[c].add(role)
+    per_class = tuple(map(frozenset, per_class))
+    per_player = tuple(itertools.chain.from_iterable(map(itertools.repeat, per_class, inv.n_bar)))
+    return RoleReport(per_class, per_player, inv.n_bar)
 
 
 def present_roles_raw(n_bar, matrix) -> frozenset[Role]:
-    out = set()
-    for r in _class_roles_raw(n_bar, matrix):
-        out |= r
-    return frozenset(out)
+    """The roles present in a raw (n_bar, matrix) pair."""
+    roles = _roles(tuple(n_bar))
+    return roles[roles.key(matrix)]
+
+
+def role_present_raw(n_bar, matrix, role: Role) -> bool:
+    """Single-role presence test on raw (n_bar, matrix) tuples."""
+    return role in present_roles_raw(n_bar, matrix)

@@ -11,9 +11,9 @@ import enum
 from functools import partial
 
 from .core import SimpleGame
-from .errors import DomainError, ValidationError
-from .invariants import Invariants, _shift_minimal, _winning_bits
-from .roles import Role, role_present_raw
+from .errors import CapacityError, DomainError, ValidationError
+from .invariants import WINNING_SET_CAP, Invariants, _shift_minimal, _winning_bits
+from .roles import Role, present_roles_raw, role_present_raw
 
 
 def dual(game: SimpleGame) -> SimpleGame:
@@ -25,6 +25,8 @@ def dual(game: SimpleGame) -> SimpleGame:
     m and i in m, never contains another candidate, so it is minimal unless it
     contains a kept transversal k; as k hits m and tr misses it, that happens
     iff k - tr is exactly {i}.  No sort and no pairwise prune are needed.
+    A working list past ``WINNING_SET_CAP`` transversals is a CapacityError,
+    checked as each transversal that misses m is extended.
     """
     transversals = [0]
     for m in game.min_winning:
@@ -43,6 +45,8 @@ def dual(game: SimpleGame) -> SimpleGame:
                 i = free & -free
                 free ^= i
                 extended.append(tr | i)
+            if len(extended) > WINNING_SET_CAP:
+                raise CapacityError(f"dual needs more than {WINNING_SET_CAP} transversals")
         transversals = extended
     return SimpleGame._canonical(game.n, transversals)
 
@@ -142,10 +146,7 @@ def _k_inverse(inv: Invariants) -> Invariants:
 
 def _h1(semi: Role, inv: Invariants) -> Invariants:
     """Duality on a game that also holds a null or the semi-role ``semi``."""
-    if not (
-        role_present_raw(inv.n_bar, inv.matrix, Role.NULL)
-        or role_present_raw(inv.n_bar, inv.matrix, semi)
-    ):
+    if not present_roles_raw(inv.n_bar, inv.matrix) & {Role.NULL, semi}:
         raise DomainError(f"input game has no null and no {semi.value}")
     return dual_invariants(inv)
 
@@ -228,13 +229,12 @@ def apply_bijection(bijection: Bijection, inv: Invariants, inverse: bool = False
     domain, image, least_t, forward, backward = DOMAINS[bijection]
     if inverse:
         domain, image = image, domain
+    present = present_roles_raw(inv.n_bar, inv.matrix)
     for role in domain:
-        if not role_present_raw(inv.n_bar, inv.matrix, role):
+        if role not in present:
             raise DomainError(f"input game has no {role.value}")
     if inv.t < least_t:
         raise DomainError("the null class needs at least two types")
-    if bijection in _FIXES_OVERLAP and all(
-        role_present_raw(inv.n_bar, inv.matrix, role) for role in image
-    ):
+    if bijection in _FIXES_OVERLAP and present.issuperset(image):
         return inv
     return backward(inv) if inverse else forward(inv)

@@ -395,6 +395,25 @@ def test_conversion_over_box_cap_exits_3(capsys, monkeypatch, command, game):
     assert_one_error_line(*run(capsys, [command, "-"], game, monkeypatch), exit_code=3)
 
 
+# a billion players, each listed in the role report
+MANY_PLAYERS = '{"n_bar":[1000000000],"M":[[1]]}'
+# 21 disjoint pairs: the dual's minimal winning coalitions are the 2^21 transversals
+DISJOINT_PAIRS = json.dumps({"n": 42, "min_winning": [[i, i + 1] for i in range(1, 42, 2)]})
+
+
+@pytest.mark.parametrize("command,game", [("classify", MANY_PLAYERS), ("dual", DISJOINT_PAIRS)],
+                         ids=["classify-players", "dual-transversals"])
+def test_over_player_or_transversal_cap_exits_3(capsys, monkeypatch, command, game):
+    assert_one_error_line(*run(capsys, [command, "-"], game, monkeypatch), exit_code=3)
+
+
+def test_classify_big_box_under_player_cap(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["classify", "-"], BIG_BOX, monkeypatch)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["class_sizes"], len(data["per_player"])) == ([1000, 999], 1999)
+
+
 @pytest.mark.parametrize("rows", [[], ["--rows", "1"], ["--rows", "2"]], ids=["all-rows", "rows-1", "rows-2"])
 def test_count_over_box_cap_exits_3(capsys, rows):
     # the one composition of 31 into 31 parts has a box of 2^31 profiles

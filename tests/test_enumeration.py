@@ -326,7 +326,7 @@ def test_role_filters_call_no_role_predicates(monkeypatch, require, forbid, n, t
     # filters are decided from bits accumulated in the search, not per matrix
     calls = []
     for module in (roles, enumeration):
-        for name in ("role_present_raw", "_class_roles_raw"):
+        for name in ("role_present_raw", "present_roles_raw"):
             real = getattr(module, name, None)
             if real is not None:
                 monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
@@ -348,6 +348,7 @@ FILTERS = (
 
 
 def test_role_filters_match_per_matrix_predicates():
+    # the search's role bits, ORed row by row as it descends, against each matrix's own key
     for n in range(1, 7):
         for t in range(1, n + 1):
             stream = list(raw_pairs(EnumSpec(n=n, t=t)))
@@ -364,6 +365,7 @@ def test_role_filters_match_per_matrix_predicates():
 
 
 def test_catalog_roles_match_reference():
+    # the catalog's keys, accumulated in the search, against each matrix's own key
     for n in range(1, 8):
         for t in range(1, n + 1):
             e1 = (1,) + (0,) * (t - 1)

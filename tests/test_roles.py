@@ -105,14 +105,23 @@ def test_structural_agrees_with_semantic_sampled_n8():
             ).per_class
 
 
-@pytest.mark.skipif(not STRETCH, reason="deep sweep; set CSGAMES_STRETCH=1")
-def test_structural_agrees_with_semantic_n7_all_types():
-    for t in range(1, 8):
-        for sizes, matrix in raw_pairs(EnumSpec(n=7, t=t)):
+def _structural_agrees_with_semantic(n, types):
+    for t in types:
+        for sizes, matrix in raw_pairs(EnumSpec(n=n, t=t)):
             candidate = inv(sizes, matrix)
             s = structural_roles(candidate)
             m = semantic_roles(expand(candidate))
-            assert s.per_class == m.per_class and s.per_player == m.per_player
+            assert s.per_class == m.per_class and s.per_player == m.per_player, (sizes, matrix)
+
+
+def test_structural_agrees_with_semantic_n7():
+    # the role masks against the coalition-level definitions on every game with n = 7, t <= 4
+    _structural_agrees_with_semantic(7, range(1, 5))
+
+
+@pytest.mark.skipif(not STRETCH, reason="deep sweep; set CSGAMES_STRETCH=1")
+def test_structural_agrees_with_semantic_n7_all_types():
+    _structural_agrees_with_semantic(7, range(1, 8))
 
 
 def test_role_sets_constant_on_classes(small_catalog):
