@@ -16,7 +16,10 @@ classes keep the games.  The counter lists the rows in its own, size-graded
 order: by member count Σr ascending, ties larger r_t first, then larger
 r_{t−1}, and so on.  A row comes after every row below it in the delta
 order, so its incomparable later rows are those outside its up-set, and the
-memo keeps fewer states than over the stream's lex order.
+memo keeps fewer states than over the stream's lex order.  The rows a
+count's frame has left from a Σr grade on, with the bits still pending, are
+a state too: the walk looks it up at each grade's first row and stores it
+on a miss, so frames share their tails.
 Unfiltered single-row counts multiply a lone row's range lengths; filtered,
 they walk the ranges' product.
 """
@@ -216,7 +219,17 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     and a required null exactly, so only the bits that the other named roles
     read are tracked, and none for specs that name no other role (a key
     without a vetoer's or a null's bits reads both as present).  One memo per
-    call, shared by its queries.
+    call, shared by its queries and readable as ``count.memo``.
+
+    A frame walks its rows in order, and the rows it has left with its
+    pending bits form a state whose E is [own] (the same bits) plus the
+    children still to add.  At each Σr grade's first row, but not the frame's
+    first, the walk looks that suffix up: on a hit it adds the memo's z·E
+    shifted down one degree, less [own], which is exact for every degree the
+    frame keeps, and ends the frame; on a miss it stores z·E(suffix) when the
+    frame ends.  Frames that differ in their smaller rows share the tails of
+    larger ones; marking every row instead of grade starts was slower and
+    held 4.5–9.5× the states.  The top frame, not memoized, looks up no suffix.
     """
     ends = _ends(spec)
     prep = _prepare(sizes, *ends, True)
@@ -230,6 +243,8 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
         read, keep, table = 0, {0: True}, prep.incomp_after
     start = read << box
     every_row = (1 << box) - 1
+    sums = list(map(sum, prep.rows))
+    starts = sum(1 << p for p in range(1, box) if sums[p] != sums[p - 1])  # each grade's first row
     cut = width and spec.rows is not None and spec.rows < box
     mask = (1 << (spec.rows + 1) * width) - 1 if cut else -1
     memo = {}
@@ -237,25 +252,36 @@ def _counter(spec: EnumSpec, sizes: tuple[int, ...], width: int):
     def count(q: int) -> int:
         # explicit: the recursion gets as deep as the longest antichain; the
         # top frame counts no empty antichain, so it is not memoized
-        top, todo, total = q | start, q, 0
-        stack = []  # frames to resume: (state, its rows to add, total)
+        top, todo, total, own, marks, notes = q | start, q, 0, 0, 0, []
+        stack = []  # frames to resume: state, rows to add, total, [own], marks ahead, suffixes to store
         while True:
             while todo:
                 low = todo & -todo
+                if low & marks:  # a grade starts: look up the suffix
+                    suffix = top >> box << box | todo
+                    known = memo.get(suffix)
+                    if known is not None:
+                        total += (known >> width) - own
+                        break
+                    notes.append((suffix, total - own))
                 inner = top & table[low.bit_length() - 1]
                 known = memo.get(inner)
                 if known is not None:
                     total += known
                     todo ^= low
                     continue
-                stack.append((top, todo, total))  # resume here once inner is counted
+                stack.append((top, todo, total, own, marks, notes))  # resume here once inner is counted
                 top, todo = inner, inner & every_row
-                total = int(keep[read ^ inner >> box])
+                total = own = int(keep[read ^ inner >> box])
+                marks, notes = todo & todo - 1 & starts, []
             if not stack:
                 return total
             memo[top] = total << width & mask
-            top, todo, total = stack.pop()
+            for suffix, before in notes:
+                memo[suffix] = total - before << width & mask
+            top, todo, total, own, marks, notes = stack.pop()
 
+    count.memo = memo
     return count
 
 

@@ -261,12 +261,58 @@ def test_antichain_counter_matches_brute_force(query):
     width = prod(s + 1 for s in sizes) + 1
     rows = _prepare(sizes, *_ends(spec), True).rows
     graded, summed = _counter(spec, sizes, width), _counter(spec, sizes, 0)
-    for q in masks:
+    # a second time, reversed: later queries meet the suffixes that earlier ones stored
+    for q in masks + masks[::-1]:
         q &= (1 << len(rows)) - 1
         by_size = _antichains_brute_force(spec, sizes, [row for i, row in enumerate(rows) if q >> i & 1])
         kept = {k: c for k, c in by_size.items() if spec.rows is None or k <= spec.rows}
         assert graded(q) == sum(c << k * width for k, c in kept.items()), (spec, sizes, q)
         assert summed(q) == sum(by_size.values()), (spec, sizes, q)
+
+
+def _child_states(spec, sizes, q):
+    # every state that the one-sum's frames reach from q without suffix lookups:
+    # its children, theirs and so on, each one AND with a row's table entry
+    ends = _ends(spec)
+    prep = _prepare(sizes, *ends, True)
+    box = len(prep.rows)
+    read = roles._roles(sizes).reads(spec.require - {Role.VETOER, Role.NULL} | spec.forbid)
+    table = [i | (read & ~b) << box for i, b in zip(prep.incomp_after, enumeration._row_bits(sizes, *ends, True))]
+    reached, todo = set(), [q | read << box]
+    while todo:
+        state = todo.pop()
+        for x in range(box):
+            child = state & table[x]
+            if state >> x & 1 and child not in reached:
+                reached.add(child)
+                todo.append(child)
+    return reached
+
+
+@pytest.mark.parametrize("kw", [{"require": {Role.SEMI_VETOER}}, {"forbid": {Role.SEMI_VETOER}}],
+                         ids=["+semi-vetoer", "-semi-vetoer"])
+@pytest.mark.parametrize("rows", [None, 2], ids=["summed", "rows-2-graded"])
+def test_counter_reads_stored_suffixes(kw, rows):
+    # on (1,1,1,1) a frame meets a grade start whose suffix another frame stored:
+    # under role bits a hit takes off its own [own], and under the rows=2 cut (at
+    # width box + 1) the memo's shifted value keeps every degree that the frame keeps
+    sizes = (1, 1, 1, 1)
+    spec = EnumSpec(n=4, t=4, rows=rows, **kw)
+    width = 0 if rows is None else prod(s + 1 for s in sizes) + 1
+    prepared = _prepare(sizes, *_ends(spec), True).rows
+    every = (1 << len(prepared)) - 1
+    count = _counter(spec, sizes, width)
+    for q in (every, every >> 1, every & ~4, every):
+        by_size = _antichains_brute_force(spec, sizes, [row for i, row in enumerate(prepared) if q >> i & 1])
+        expected = sum(c << k * width for k, c in by_size.items() if rows is None or k <= rows)
+        assert count(q) == expected, (spec, q)
+    # a count of every row reads the stored states that are none of its frames'
+    # children only through suffix lookups, so spoiling them spoils a fresh count
+    suffixes = count.memo.keys() - _child_states(spec, sizes, every)
+    assert suffixes
+    spoiled = _counter(spec, sizes, width)
+    spoiled.memo.update((state, count.memo[state] + (1 << width)) for state in suffixes)
+    assert spoiled(every) != count(every)
 
 
 def _single_rows_reference(sizes):
@@ -435,7 +481,7 @@ def test_filtered_reference_tables_stretch():
 
 
 def test_unfiltered_reference_tables():
-    for n in range(10, 18):
+    for n in range(10, 22):
         assert reference_row(n, 3, CG_T3[n])[-1], n
     for n in (11, 12):
         assert reference_row(n, 4, CG_LARGE[(n, 4)])[-1], n
@@ -443,11 +489,25 @@ def test_unfiltered_reference_tables():
 
 @pytest.mark.skipif(not STRETCH, reason="stretch target; set CSGAMES_STRETCH=1")
 def test_unfiltered_reference_tables_stretch():
-    # with the tier-1 test, every count in refcounts.CG_T3 and CG_LARGE (about 25 s)
-    for n in range(18, 22):
-        assert reference_row(n, 3, CG_T3[n])[-1], n
+    # with the tier-1 test, every count in refcounts.CG_T3 and CG_LARGE
     for n, t in [(13, 4), (10, 5), (11, 5), (10, 6)]:
         assert reference_row(n, t, CG_LARGE[(n, t)])[-1], (n, t)
+
+
+@pytest.mark.parametrize("n, t, games, states", [(10, 4, CG_LARGE[(10, 4)], 19134), (13, 3, CG_T3[13], 10788)])
+def test_counter_memo_states(monkeypatch, n, t, games, states):
+    # the memo states of a count's compositions, summed: a change that
+    # memoizes more (or less) shows up here
+    counters = []
+
+    def recorded(*args):
+        counters.append(_counter(*args))
+        return counters[-1]
+
+    monkeypatch.setattr(enumeration, "_counter", recorded)
+    assert count_games(EnumSpec(n=n, t=t)) == games
+    assert len(counters) == len(list(compositions(n, t)))
+    assert sum(len(count.memo) for count in counters) == states
 
 
 def test_count_matches_formula_t2():
