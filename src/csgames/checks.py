@@ -39,10 +39,13 @@ def oracle_row(spec: EnumSpec, jobs: int = 1) -> tuple:
 
 
 def rows1_row(n: int, jobs: int = 1) -> tuple:
-    """Single-row games summed over t are the 2^n - 1 nonempty minimal coalitions."""
+    """Single-row games summed over t are the 2^n - 1 nonempty minimal coalitions,
+    both as counted (a closed form) and as streamed."""
     expected = 2**n - 1
-    total = sum(count_games(EnumSpec(n=n, t=t, rows=1), jobs=jobs) for t in range(1, n + 1))
-    return n, "rows1_sum", expected, total, total == expected
+    specs = [EnumSpec(n=n, t=t, rows=1) for t in range(1, n + 1)]
+    total = sum(count_games(spec, jobs=jobs) for spec in specs)
+    streamed = sum(1 for spec in specs for _ in raw_pairs(spec))
+    return n, "rows1_sum", expected, total, total == streamed == expected
 
 
 def dual_involution_row(n: int) -> tuple:

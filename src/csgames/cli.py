@@ -162,26 +162,29 @@ def _filter_label(spec: EnumSpec) -> str:
     return "".join(parts) or "none"
 
 
+def _int_text(value: int) -> str:
+    """str(value); CapacityError past the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError as exc:  # a closed form in a huge --n
+        limit = sys.get_int_max_str_digits()
+        raise CapacityError(f"the value has more than {limit} digits, the int-to-str limit") from exc
+
+
 def _cmd_count(args) -> int:
     spec = _spec(args)
-    value = count_games(spec, jobs=args.jobs)
+    text = _int_text(count_games(spec, jobs=args.jobs))
     if args.format == "csv":
         print("n,t,r,filter,count")
-        print(f"{args.n},{args.t},{args.rows or ''},{_filter_label(spec)},{value}")
+        print(f"{args.n},{args.t},{args.rows or ''},{_filter_label(spec)},{text}")
     else:
-        print(value)
+        print(text)
     return EXIT_OK
 
 
 def _cmd_formula(args) -> int:
     fam = formulas.Family.from_name(args.family)
-    value = formulas.evaluate(fam, args.n, t=args.t)
-    try:
-        text = str(value)
-    except ValueError as exc:  # a polynomial in a huge --n
-        limit = sys.get_int_max_str_digits()
-        raise CapacityError(f"the value has more than {limit} digits, the int-to-str limit") from exc
-    print(text)
+    print(_int_text(formulas.evaluate(fam, args.n, t=args.t)))
     return EXIT_OK
 
 

@@ -20,8 +20,11 @@ memo keeps fewer states than over the stream's lex order.  The rows a
 count's frame has left from a Σr grade on, with the bits still pending, are
 a state too: the walk looks it up at each grade's first row and stores it
 on a miss, so frames share their tails.
-Unfiltered single-row counts multiply a lone row's range lengths; filtered,
-they walk the ranges' product.
+Two kinds of count need no table.  With no row count, no role bits and at
+most two free classes (a required vetoer and null aside), a composition's
+count is its free box's up-sets, a closed form, and the compositions are
+summed by their free classes.  Unfiltered single-row counts are
+C(n + 1, 2t − 1); filtered, they walk the product of a lone row's ranges.
 """
 
 from __future__ import annotations
@@ -389,11 +392,9 @@ def _count_shard(spec: EnumSpec, sizes: tuple[int, ...], width: int = 0) -> int:
     and each d is c/S for one pair whose S lies in c's leading singleton classes
     (its extra cuts are the t − j smallest free gaps), so only those S are
     summed, with d's weight.  A lone row skips ``_prepare``'s box² table and
-    counts c's own games, unfiltered as the product of its ranges' lengths.
+    counts c's own games.
     """
     if spec.rows == 1:
-        if not spec.filtered:
-            return prod(map(len, _single_rows(sizes))) << width
         return sum(1 for _ in _single_row_games(spec, sizes)) << width
     count = _counter(spec, sizes, width)  # first: its _prepare checks the box cap
     sat = _prepare(sizes, *_ends(spec), True).sat
@@ -437,8 +438,83 @@ def enumerate_invariants(spec: EnumSpec, jobs: int = 1) -> Iterator[Invariants]:
             yield Invariants._canonical(comp, matrix)
 
 
+def _lone_rows(n: int, t: int) -> int:
+    """The unfiltered single-row games of (n, t): n for t = 1, else C(n + 1, 2t − 1).
+
+    ``_single_rows``' range lengths are n₁, n_k − 1 in between and n_t, with
+    generating functions x/(1−x)², x²/(1−x)² and x/(1−x)², so their products
+    summed over the compositions are the coefficient of x^n in
+    x^(2t−2)/(1−x)^(2t).
+    """
+    return n if t == 1 else comb(n + 1, 2 * t - 1)
+
+
+def _few_free(spec: EnumSpec) -> bool:
+    """Whether ``_few_free_count`` counts the spec: every row count, no role bits
+    to track (no role named but a required vetoer and null) and at most two
+    free classes."""
+    return (spec.rows is None and not spec.forbid and spec.require <= {Role.VETOER, Role.NULL}
+            and spec.t - len(spec.require) <= 2)
+
+
+def _antichains_by_total(n: int, free: int, vetoer: bool) -> list[int]:
+    """sums[m]: N(d) summed over the free classes' boxes of ``free`` ≤ 2 classes and total m ≤ n.
+
+    N(d), the nonempty antichains of d's prepared rows, is the number of
+    up-sets of its free box less the empty one, and less {zero row} when no
+    vetoer lifts the box off it.  The delta order's box (a, b) has
+    1 + Σ_{L=1}^{a+1} Σ_{k≤min(L,b)} C(b, k) up-sets (L columns past a zero
+    prefix, k of them below the cap), a one-class box m has m + 2 and the
+    empty box 2.
+    """
+    less = 2 - vetoer
+    sums = [0] * (n + 1)
+    if free == 0:
+        sums[0] = 2 - less
+    elif free == 1:
+        sums[1:] = [m + 2 - less for m in range(1, n + 1)]
+    else:
+        for b in range(1, n):
+            binom = within = ups = 1  # C(b, k), Σ_{i≤k} C(b, i) with k = min(L, b), 1 + Σ_{L'≤L} within
+            for L in range(1, n - b + 2):
+                if L <= b:
+                    binom = binom * (b - L + 1) // L
+                    within += binom
+                ups += within
+                if L > 1:  # the box (L − 1, b)
+                    sums[L - 1 + b] += ups - less
+    return sums
+
+
+def _few_free_count(spec: EnumSpec) -> int:
+    """The games of a ``_few_free`` spec, by ``_count_shard``'s inversion over
+    every j ≤ t, Σ_j (−1)^(t−j) C(n−j, t−j) Σ_{d∈comp(n,j)} N(d), where N(d)
+    depends only on d's free classes: with f fixed ends, C(n − m − 1, f − 1)
+    compositions of n share a free tuple of total m, so each j is one sum over
+    m, O(n²) big-int operations in all."""
+    vetoer, null = _ends(spec)
+    n, t, fixed = spec.n, spec.t, vetoer + null
+    total = 0
+    for j in range(max(fixed, 1), t + 1):
+        by_total = _antichains_by_total(n, j - fixed, vetoer)
+        if fixed:
+            games = sum(comb(n - m - 1, fixed - 1) * s for m, s in enumerate(by_total[:n - fixed + 1]))
+        else:
+            games = by_total[n]
+        total += (-1) ** (t - j) * comb(n - j, t - j) * games
+    return total
+
+
 def count_games(spec: EnumSpec, jobs: int = 1) -> int:
-    """Exact number of games matching the spec; shard counts merge by addition."""
+    """Exact number of games matching the spec; shard counts merge by addition.
+
+    Two kinds of spec are counted in closed form, with no table and no pool:
+    unfiltered lone rows (``_lone_rows``) and the ``_few_free`` specs.
+    """
+    if spec.rows == 1 and not spec.filtered:
+        return _lone_rows(spec.n, spec.t)
+    if _few_free(spec):
+        return _few_free_count(spec)
     if spec.rows in (None, 1):
         return sum(_map_shards(_count_shard, spec, jobs))
     return sum(count_rows(spec, jobs).values())
@@ -447,7 +523,11 @@ def count_games(spec: EnumSpec, jobs: int = 1) -> int:
 def count_rows(spec: EnumSpec, jobs: int = 1) -> dict[int, int]:
     """Exact number of games matching the spec by row count r, nonzero counts only.  A shard
     may be negative in a grade, so all are summed packed at one width: one count's grade stays
-    below 2^box, the balanced composition's box is the largest, and under 2^n compositions add up."""
+    below 2^box, the balanced composition's box is the largest, and under 2^n compositions add up.
+    Unfiltered lone rows are ``_lone_rows``' closed form."""
+    if spec.rows == 1 and not spec.filtered:
+        games = _lone_rows(spec.n, spec.t)
+        return {1: games} if games else {}
     q, extra = divmod(spec.n, spec.t)
     width = _box((q + 1,) * extra + (q,) * (spec.t - extra)) + spec.n
     packed = sum(_map_shards(partial(_count_shard, width=width), spec, jobs))

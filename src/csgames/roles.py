@@ -129,14 +129,18 @@ def role_conditions(n_bar: tuple[int, ...]) -> tuple[tuple[Role, int, tuple, tup
       profile below the full class c);
     - semi-passer: e_c loses and every e_c + e_e wins, 2e_c only when class c has
       two members.
+    Winning is monotone in the delta order, so each "every" is one profile: the
+    strongest top_c − e_d and the weakest allowed e_c + e_e, both with d = e the
+    last class that holds a member besides e_c (none when n̄ = e_c).
     """
     t = len(n_bar)
     zero = (0,) * t
     out = []
     for c in range(t):
         e_c, top_c = _shift(zero, c, 1), _shift(n_bar, c, -1)
-        lower = tuple(_shift(top_c, d, -1) for d in range(t) if top_c[d] > 0)
-        pairs = tuple(_shift(e_c, e, 1) for e in range(t) if e != c or n_bar[c] >= 2)
+        last = t - 1 if c < t - 1 or n_bar[c] >= 2 else t - 2  # the last class with a member besides e_c
+        lower = (_shift(top_c, last, -1),) if last >= 0 else ()
+        pairs = (_shift(e_c, last, 1),) if last >= 0 else ()
         out += [
             (Role.VETOER, c, (), (top_c,)),
             (Role.PASSER, c, (e_c,), ()),

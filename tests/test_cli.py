@@ -371,6 +371,13 @@ def test_formula_under_digit_limit_prints(capsys, family, n, digits):
     assert code == 0 and len(out.strip()) == digits
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_count_over_digit_limit_exits_3(capsys, fmt):
+    # C(20001, 9999), the lone-row count, has about 6,000 digits
+    argv = ["count", "--n", "20000", "--t", "5000", "--rows", "1", "--format", fmt]
+    assert_one_error_line(*run(capsys, argv), exit_code=3)
+
+
 def test_usage_error(capsys):
     assert main(["enumerate", "--n", "3"]) == 2
     assert main(["wibble"]) == 2
@@ -414,10 +421,20 @@ def test_classify_big_box_under_player_cap(capsys, monkeypatch):
     assert (data["class_sizes"], len(data["per_player"])) == ([1000, 999], 1999)
 
 
-@pytest.mark.parametrize("rows", [[], ["--rows", "1"], ["--rows", "2"]], ids=["all-rows", "rows-1", "rows-2"])
+@pytest.mark.parametrize("rows", [[], ["--rows", "1", "--with", "vetoer"], ["--rows", "2"]],
+                         ids=["all-rows", "rows-1", "rows-2"])
 def test_count_over_box_cap_exits_3(capsys, rows):
-    # the one composition of 31 into 31 parts has a box of 2^31 profiles
+    # the one composition of 31 into 31 parts has a box of 2^31 profiles; a
+    # filtered lone row lists its ranges' product
     assert_one_error_line(*run(capsys, ["count", "--n", "31", "--t", "31", *rows]), exit_code=3)
+
+
+def test_unfiltered_lone_rows_build_no_box(capsys):
+    # C(n + 1, 2t − 1) lone-row games: none for 31 classes of 31 players, and
+    # C(41, 39) = 820 for 20 classes of 40, from no box and no composition
+    for argv, value in ((["--n", "31", "--t", "31"], "0"), (["--n", "40", "--t", "20"], "820")):
+        code, out, err = run(capsys, ["count", *argv, "--rows", "1"])
+        assert (code, out, err) == (0, value + "\n", ""), argv
 
 
 def test_enumerate_csv_over_box_cap_exits_3(capsys):

@@ -181,6 +181,36 @@ def test_count_by_antichains_per_composition():
             assert shards == sum(1 for _ in raw_pairs(spec)), (n, t)
 
 
+def test_few_free_classes_closed_form():
+    # no role bits and at most two free classes: the up-set closed form against the
+    # shards' counter, with and without each fixed end
+    for n in range(1, 11):
+        for require in (set(), {Role.VETOER}, {Role.NULL}, {Role.VETOER, Role.NULL}):
+            for t in range(1, min(n, 2 + len(require)) + 1):
+                spec = EnumSpec(n=n, t=t, require=require)
+                assert enumeration._few_free(spec), spec
+                shards = sum(_count_shard(spec, sizes) for sizes in compositions(n, t))
+                assert count_games(spec) == count_games(spec, jobs=2) == shards, spec
+    # a row count, another named role or a third free class stays on the counter
+    for spec in [EnumSpec(6, 2, rows=2), EnumSpec(6, 2, forbid={Role.VETOER}),
+                 EnumSpec(6, 2, require={Role.PASSER}), EnumSpec(6, 3), EnumSpec(6, 4, require={Role.VETOER})]:
+        assert not enumeration._few_free(spec), spec
+    # no table is built, so the paper's families come at any n
+    for family, t, require in ((Family.CG_T2, 2, set()), (Family.CGV_T3, 3, {Role.VETOER}),
+                               (Family.CGVN_T4, 4, {Role.VETOER, Role.NULL})):
+        assert count_games(EnumSpec(n=200, t=t, require=require)) == evaluate(family, 200), family
+
+
+def test_lone_rows_closed_form():
+    # C(n + 1, 2t − 1), and n for t = 1, against the lone-row stream
+    for n in range(1, 13):
+        for t in range(1, n + 1):
+            spec = EnumSpec(n=n, t=t, rows=1)
+            streamed = sum(1 for _ in raw_pairs(spec))
+            assert count_games(spec) == streamed, spec
+            assert count_rows(spec) == ({1: streamed} if streamed else {}), spec
+
+
 def _merge(sizes, boundaries):
     # c/S: the classes on either side of each boundary in S joined
     merged = [sizes[0]]
@@ -239,16 +269,21 @@ def counter_queries(draw):
 def _antichains_brute_force(spec, sizes, rows):
     # by size k: the subsets of rows that are nonempty, have pairwise
     # incomparable rows in the delta order and whose present roles pass the
-    # spec's filters
+    # spec's filters; each subset grows by later rows incomparable with all of it
     prefixes = [tuple(itertools.accumulate(row)) for row in rows]
     comparable = [[all(x >= y for x, y in zip(a, b)) or all(y >= x for x, y in zip(a, b))
                    for b in prefixes] for a in prefixes]
     by_size = {}
-    for k in range(1, len(rows) + 1):
-        for subset in itertools.combinations(range(len(rows)), k):
-            if not any(comparable[a][b] for a, b in itertools.combinations(subset, 2)):
-                present = present_roles_raw(sizes, [rows[i] for i in subset])
+
+    def grow(subset):
+        for j in range(subset[-1] + 1 if subset else 0, len(rows)):
+            if not any(comparable[i][j] for i in subset):
+                present = present_roles_raw(sizes, [rows[i] for i in subset + [j]])
+                k = len(subset) + 1
                 by_size[k] = by_size.get(k, 0) + (spec.require <= present and not spec.forbid & present)
+                grow(subset + [j])
+
+    grow([])
     return by_size
 
 
@@ -293,11 +328,11 @@ def _child_states(spec, sizes, q):
                          ids=["+semi-vetoer", "-semi-vetoer"])
 @pytest.mark.parametrize("rows", [None, 2], ids=["summed", "rows-2-graded"])
 def test_counter_reads_stored_suffixes(kw, rows):
-    # on (1,1,1,1) a frame meets a grade start whose suffix another frame stored:
+    # on (1,1,1,2) a frame meets a grade start whose suffix another frame stored:
     # under role bits a hit takes off its own [own], and under the rows=2 cut (at
     # width box + 1) the memo's shifted value keeps every degree that the frame keeps
-    sizes = (1, 1, 1, 1)
-    spec = EnumSpec(n=4, t=4, rows=rows, **kw)
+    sizes = (1, 1, 1, 2)
+    spec = EnumSpec(n=5, t=4, rows=rows, **kw)
     width = 0 if rows is None else prod(s + 1 for s in sizes) + 1
     prepared = _prepare(sizes, *_ends(spec), True).rows
     every = (1 << len(prepared)) - 1
@@ -437,8 +472,8 @@ def test_filtered_reference_tables():
     cgvn_t4 = {n: count_games(EnumSpec(n=n, t=4, require=vetoer_null)) for n in range(10, 15)}
     for n, count in cgvn_t4.items():
         assert count == CGVN_T4[n], n
-    # the vetoer and null fix r_1 and r_t, so only the middle classes' box is
-    # prepared: CGVN_T4(24) takes well under a second
+    # the vetoer and null fix r_1 and r_t, which leaves two free classes, so
+    # these counts are the up-set closed form: CGVN_T4(24) takes under a millisecond
     for n in range(15, 25):
         assert formula_row(Family.CGVN_T4, n, 4, vetoer_null)[-1], n
     # past the reference table, the closed form is the second method
@@ -625,18 +660,22 @@ def test_jobs_capped_by_compositions_and_cpus(monkeypatch):
 
     # _map_shards imports the pool class from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    spec = EnumSpec(n=5, t=2)  # 4 compositions
+    # three free classes, so the shards are counted (at most two are a closed form)
+    spec = EnumSpec(n=6, t=3)  # 10 compositions
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     assert count_games(spec, jobs=100_000) == count_games(spec)
     assert count_games(EnumSpec(n=5, t=3), jobs=2) == count_games(EnumSpec(n=5, t=3))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     assert count_games(spec, jobs=100_000) == count_games(spec)
-    assert pools == [3, 2, 4]
+    assert pools == [3, 2, 10]
     # one composition, or an unknown CPU count, runs in this process
-    assert count_games(EnumSpec(n=5, t=1), jobs=100_000) == 5
+    assert count_games(EnumSpec(n=3, t=3), jobs=100_000) == count_games(EnumSpec(n=3, t=3))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert count_games(spec, jobs=100_000) == count_games(spec)
-    assert pools == [3, 2, 4]
+    assert pools == [3, 2, 10]
+    # a closed-form count builds no pool
+    assert count_games(EnumSpec(n=6, t=2), jobs=2) == count_games(EnumSpec(n=6, t=2))
+    assert pools == [3, 2, 10]
 
 
 def test_row_identity():
