@@ -11,13 +11,15 @@ import enum
 import itertools
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import CapacityError, NotCompleteError, ValidationError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_PLAYERS = 64
 # The swap quantifier touches all 2^(n-2) subsets; keep it desk-sized.
@@ -86,28 +88,26 @@ def _check_player_count(n: int) -> None:
         raise ValidationError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
 
 
-@dataclass(frozen=True)
-class SimpleGame:
+class SimpleGame(namedtuple("SimpleGame", "n min_winning")):
     """A monotone voting game, stored by its antichain of minimal winning coalitions."""
 
-    n: int
-    min_winning: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_player_count(self.n)
-        masks = tuple(sorted(set(map(int, self.min_winning)), key=_member_order))
+    def __new__(cls, n: int, min_winning: tuple[int, ...]):
+        _check_player_count(n)
+        masks = tuple(sorted(set(map(int, min_winning)), key=_member_order))
         if not masks:
             raise ValidationError("a game needs at least one minimal winning coalition")
         for m in masks:
             if m == 0:
                 raise ValidationError("the empty coalition cannot win")
-            if m >> self.n:
+            if m >> n:
                 raise ValidationError("coalition contains a player outside 1..n")
         for a, b in itertools.combinations(masks, 2):
             c = a & b
             if c == a or c == b:
                 raise ValidationError("min_winning must be an antichain under inclusion")
-        object.__setattr__(self, "min_winning", masks)
+        return tuple.__new__(cls, (n, masks))
 
     @classmethod
     def _canonical(cls, n: int, masks: Iterable[int]) -> "SimpleGame":
@@ -119,10 +119,7 @@ class SimpleGame:
         checked, because ``expand`` takes invariants of any size.
         """
         _check_player_count(n)
-        game = object.__new__(cls)
-        object.__setattr__(game, "n", n)
-        object.__setattr__(game, "min_winning", tuple(sorted(set(masks), key=_member_order)))
-        return game
+        return tuple.__new__(cls, (n, tuple(sorted(set(masks), key=_member_order))))
 
     @classmethod
     def from_coalitions(cls, n: int, coalitions: Iterable[Iterable[int]]) -> "SimpleGame":
@@ -228,16 +225,15 @@ def desirability(game: SimpleGame, i: int, j: int) -> Desirability:
     return Desirability.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class TypePartition:
+class TypePartition(namedtuple("TypePartition", "classes")):
     """Equivalence classes of equally desirable players, strongest first.
 
-    Classes are the runs of equal winning counts (the number of winning
-    coalitions that contain a player), highest count first; within a class
-    players keep ascending index order.
+    ``classes`` is a tuple of player tuples.  Classes are the runs of equal
+    winning counts (the number of winning coalitions that contain a player),
+    highest count first; within a class players keep ascending index order.
     """
 
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -272,16 +268,16 @@ def type_partition(game: SimpleGame) -> TypePartition:
     raise NotCompleteError(f"players {i} and {j} are incomparable", pair=(i, j))
 
 
-@dataclass(frozen=True)
-class WeightedRepresentation:
+class WeightedRepresentation(namedtuple("WeightedRepresentation", "quota weights")):
     """Quota plus one nonnegative weight per player, held as exact rationals."""
 
-    quota: Fraction
-    weights: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        quota = Fraction(self.quota)
-        weights = tuple(Fraction(w) for w in self.weights)
+    def __new__(cls, quota: Fraction, weights: tuple[Fraction, ...]):
+        from fractions import Fraction  # here, as it slows the package's import (it loads decimal)
+
+        quota = Fraction(quota)
+        weights = tuple(Fraction(w) for w in weights)
         if not weights:
             raise ValidationError("at least one weight required")
         if any(w < 0 for w in weights):
@@ -290,8 +286,7 @@ class WeightedRepresentation:
             raise ValidationError("quota must be positive, otherwise the empty coalition wins")
         if quota > sum(weights):
             raise ValidationError("quota exceeds the total weight, no coalition can win")
-        object.__setattr__(self, "quota", quota)
-        object.__setattr__(self, "weights", weights)
+        return tuple.__new__(cls, (quota, weights))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedRepresentation":
@@ -321,6 +316,8 @@ def _fraction(text: str) -> Fraction:
     limit = sys.get_int_max_str_digits()
     if exponent and limit and abs(int(exponent[1])) > limit:
         raise ValueError(f"exponent of {text!r} exceeds {limit}")
+    from fractions import Fraction
+
     return Fraction(text)
 
 

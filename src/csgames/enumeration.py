@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb, prod
 from typing import Iterator, NamedTuple
@@ -44,28 +44,24 @@ from .roles import Role, _roles
 BOX_CAP = 2**30
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(namedtuple("EnumSpec", "n t rows require forbid")):
     """What to generate: player count, class count, and optional filters."""
 
-    n: int
-    t: int
-    rows: int | None = None
-    require: frozenset = frozenset()
-    forbid: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, t: int, rows: int | None = None,
+                require: frozenset = frozenset(), forbid: frozenset = frozenset()):
+        if n < 1:
             raise ValidationError("n must be positive")
-        if not 1 <= self.t <= self.n:
+        if not 1 <= t <= n:
             raise ValidationError("t must satisfy 1 <= t <= n")
-        if self.rows is not None and self.rows < 1:
+        if rows is not None and rows < 1:
             raise ValidationError("rows must be positive when given")
-        object.__setattr__(self, "require", frozenset(self.require))
-        object.__setattr__(self, "forbid", frozenset(self.forbid))
-        overlap = self.require & self.forbid
+        require, forbid = frozenset(require), frozenset(forbid)
+        overlap = require & forbid
         if overlap:
             raise ValidationError(f"roles both required and forbidden: {sorted(r.value for r in overlap)}")
+        return tuple.__new__(cls, (n, t, rows, require, forbid))
 
     @property
     def filtered(self) -> bool:

@@ -10,9 +10,12 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 
@@ -151,6 +154,8 @@ def phi_bounds(index: int = 120) -> tuple[Fraction, Fraction]:
 
     F(k+1)/F(k) approaches from below for odd k and from above for even k.
     """
+    from fractions import Fraction  # here, as it slows the package's import (it loads decimal)
+
     if index < 3:
         raise DomainError("enclosure index must be at least 3")
     k = index if index % 2 else index + 1
@@ -187,6 +192,8 @@ def golden_ratio_gap(
 
 def _enclosed_gap(num: int, den: int, power: int) -> tuple[Fraction, Fraction]:
     """Exact enclosure of |num/den - phi**power| for power 1 or 2 and den > 0."""
+    from fractions import Fraction
+
     ratio = Fraction(num, den)
     lo, hi = phi_bounds()
     if power == 2:

@@ -8,7 +8,7 @@ holding consecutive player indices; ``extract`` inverts that up to relabeling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, prod
 from operator import and_, ge, gt, le, lt
 
@@ -68,8 +68,7 @@ def _violations(sizes: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> li
     return violations
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(namedtuple("Invariants", "n_bar matrix")):
     """A valid (n_bar, M) pair.
 
     ``Invariants(n_bar, M)`` checks every condition and rejects an invalid
@@ -79,18 +78,16 @@ class Invariants:
     suite checks those outputs against full validation instead.
     """
 
-    n_bar: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        sizes, rows = _as_ints(self.n_bar, self.matrix)
+    def __new__(cls, n_bar: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]):
+        sizes, rows = _as_ints(n_bar, matrix)
         violations = _violations(sizes, rows)
         if violations:
             raise ValidationError(
                 "invalid invariants: " + "; ".join(violations), violations=violations
             )
-        object.__setattr__(self, "n_bar", sizes)
-        object.__setattr__(self, "matrix", rows)
+        return tuple.__new__(cls, (sizes, rows))
 
     @classmethod
     def _canonical(cls, n_bar: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> "Invariants":
@@ -99,10 +96,7 @@ class Invariants:
         ``n_bar`` and ``matrix`` must already be int tuples that meet every
         condition; nothing is checked or converted.
         """
-        inv = object.__new__(cls)
-        object.__setattr__(inv, "n_bar", n_bar)
-        object.__setattr__(inv, "matrix", matrix)
-        return inv
+        return tuple.__new__(cls, (n_bar, matrix))
 
     @property
     def t(self) -> int:

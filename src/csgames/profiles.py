@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from math import prod
 from operator import and_
@@ -25,21 +25,20 @@ def prefix_sums(counts) -> tuple[int, ...]:
     return tuple(itertools.accumulate(counts))
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(namedtuple("Profile", "counts prefix")):
     """Per-class member counts of a coalition, with prefix sums alongside."""
 
-    counts: tuple[int, ...]
-    prefix: tuple[int, ...] = None  # derived, never passed
+    __slots__ = ()
 
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+    def __new__(cls, counts: tuple[int, ...], prefix: tuple[int, ...] = None):
+        # prefix is derived from counts; a value passed in, as pickle and copy
+        # pass one, is ignored
+        counts = tuple(int(c) for c in counts)
         if not counts:
             raise ValidationError("a profile needs at least one class")
         if any(c < 0 for c in counts):
             raise ValidationError("profile counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "prefix", prefix_sums(counts))
+        return tuple.__new__(cls, (counts, prefix_sums(counts)))
 
     def __len__(self):
         return len(self.counts)
@@ -64,17 +63,16 @@ def delta_compare(p: Profile, q: Profile) -> DeltaRelation:
     return compare_prefix(p.prefix, q.prefix)
 
 
-@dataclass(frozen=True)
-class ProfileBox:
+class ProfileBox(namedtuple("ProfileBox", "sizes")):
     """The hyper-rectangle of profiles compatible with the class sizes."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+    def __new__(cls, sizes: tuple[int, ...]):
+        sizes = tuple(int(s) for s in sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValidationError("class sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
+        return tuple.__new__(cls, (sizes,))
 
     @property
     def size(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -41,13 +41,14 @@ class Role(enum.Enum):
                               + ", ".join(r.value for r in cls))
 
 
-@dataclass(frozen=True)
-class RoleReport:
-    """Role sets per equivalence class (strongest first) and per player (by index)."""
+class RoleReport(namedtuple("RoleReport", "per_class per_player class_sizes")):
+    """Role sets per equivalence class (strongest first) and per player (by index).
 
-    per_class: tuple[frozenset[Role], ...]
-    per_player: tuple[frozenset[Role], ...]
-    class_sizes: tuple[int, ...]
+    Each of ``per_class`` and ``per_player`` is a tuple of role frozensets;
+    ``class_sizes`` is a tuple of ints.
+    """
+
+    __slots__ = ()
 
     @property
     def class_count(self) -> int:

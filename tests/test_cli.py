@@ -460,6 +460,14 @@ def test_verify_empty_suite_is_usage_error(capsys, suite, max_n):
     assert_one_error_line(*run(capsys, ["verify", "--suite", suite, "--max-n", max_n]), exit_code=2)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["count", "--n", "10", "--t", "4"], ["enumerate", "--n", "4", "--t", "2"],
+                                  ["verify", "--suite", "rows", "--max-n", "3"]],
+                         ids=["count", "enumerate", "verify"])
+def test_jobs_below_one_is_usage_error(capsys, argv, jobs):
+    assert_one_error_line(*run(capsys, [*argv, "--jobs", jobs]), exit_code=2)
+
+
 # sha256 of `csgames verify` stdout, pinned before the checks moved out of the CLI
 VERIFY_SUITES = {
     "rows": ("8", "fd9dc6a6e3c51f06d53ee3cd17caae47b21947ba9fb147d3b67bb7344e89adf6"),

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csgames
 from csgames.core import (
     Desirability,
     SimpleGame,
@@ -20,7 +25,9 @@ from csgames.core import (
 )
 from csgames.enumeration import EnumSpec, enumerate_invariants
 from csgames.errors import NotCompleteError, ValidationError
-from csgames.invariants import expand
+from csgames.invariants import Invariants, expand
+from csgames.profiles import Profile, ProfileBox
+from csgames.roles import Role, semantic_roles
 
 EX1 = SimpleGame.from_coalitions(3, [[1, 2], [1, 3]])
 USSR = SimpleGame.from_coalitions(3, [[1, 2], [1, 3], [2, 3]])
@@ -134,8 +141,59 @@ def test_weighted_validation():
 def test_weighted_json_exact_strings():
     rep = WeightedRepresentation.from_json_dict({"quota": "12", "weights": ["4", "4", "4", "2", "2", "1"]})
     assert rep.quota == 12
+    # ints become exact rationals too
+    rep = WeightedRepresentation(3, (2, 1, 1))
+    assert type(rep.quota) is Fraction and all(type(w) is Fraction for w in rep.weights)
     rep = WeightedRepresentation.from_json_dict({"quota": "1.5", "weights": ["1", "0.5", "0.25"]})
     assert rep.quota == Fraction(3, 2) and rep.weights[2] == Fraction(1, 4)
+
+
+# one value of each record type, with the name of one of its fields
+RECORDS = {
+    "SimpleGame": (EX1, "n"),
+    "TypePartition": (type_partition(EX2_GAME), "classes"),
+    "WeightedRepresentation": (WeightedRepresentation(Fraction(3, 2), (1, Fraction(1, 4), 2)), "quota"),
+    # the --jobs pool pickles the spec it sends to each worker
+    "EnumSpec": (EnumSpec(10, 4, require={Role.VETOER}), "require"),
+    "Invariants": (Invariants((2, 1), ((2, 0),)), "matrix"),
+    "Profile": (Profile((1, 2)), "prefix"),
+    "ProfileBox": (ProfileBox((2, 3)), "sizes"),
+    "RoleReport": (semantic_roles(EX2_GAME), "per_player"),
+}
+
+
+@pytest.mark.parametrize("record,field", RECORDS.values(), ids=RECORDS.keys())
+def test_records_pickle_and_refuse_assignment(record, field):
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record) and hash(copy) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_record_reprs():
+    assert repr(EnumSpec(10, 4)) == "EnumSpec(n=10, t=4, rows=None, require=frozenset(), forbid=frozenset())"
+    assert repr(Invariants((2, 1), ((2, 0),))) == "Invariants(n_bar=(2, 1), matrix=((2, 0),))"
+
+
+# each costs milliseconds of start-up in every csgames process (decimal comes with fractions)
+SLOW_IMPORTS = ("dataclasses", "fractions", "decimal", "inspect", "concurrent.futures")
+
+
+def test_import_loads_no_slow_stdlib_module():
+    # in a fresh interpreter, as pytest has loaded all of them already
+    script = (
+        "import argparse, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import csgames\n"
+        "from csgames import checks, cli, formulas, oracle, refcounts, transforms\n"
+        f"print(sorted(set({SLOW_IMPORTS!r}) & (set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(csgames.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_game_json_round_trip():

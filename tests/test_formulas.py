@@ -117,6 +117,7 @@ def test_telescoping_recurrence():
 
 def test_phi_bounds_bracket():
     lo, hi = phi_bounds()
+    assert type(lo) is type(hi) is Fraction
     assert lo < hi
     assert hi - lo < Fraction(1, 10**40)
     # the golden ratio satisfies x^2 = x + 1; the enclosure must straddle the root
@@ -129,6 +130,7 @@ def test_golden_ratio_gap_at_50():
     assert hi < Fraction(1, 10**4)
     lo2, hi2 = golden_ratio_gap(Family.CGVN_T4, Family.CG_T2, 50)
     assert hi2 < Fraction(1, 10**4)
+    assert all(type(x) is Fraction for x in (lo, hi, lo2, hi2))
 
 
 def test_gap_shrinks_with_n():
